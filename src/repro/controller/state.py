@@ -20,7 +20,7 @@ the departing path's contributions and recompute each affected switch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping
 
 from repro.controller.dztrie import DzTrie
 from repro.core.dz import Dz
@@ -75,6 +75,12 @@ class FlowLedger:
         self._tries: dict[str, DzTrie] = {}
         # reverse index: key -> list of (switch, dz, action)
         self._by_key: dict[PathKey, list[tuple[str, Dz, Action]]] = {}
+        # identity indexes: component value -> its keys, as insertion-ordered
+        # dicts used as sets.  A key enters and leaves them together with
+        # _by_key, so each lists its keys in _by_key order.
+        self._by_tree: dict[int, dict[PathKey, None]] = {}
+        self._by_adv: dict[int, dict[PathKey, None]] = {}
+        self._by_sub: dict[int, dict[PathKey, None]] = {}
 
     # ------------------------------------------------------------------
     def add(self, switch: str, dz: Dz, action: Action, key: PathKey) -> bool:
@@ -85,7 +91,12 @@ class FlowLedger:
         """
         trie = self._tries.setdefault(switch, DzTrie())
         changed = trie.add(dz, action)
-        self._by_key.setdefault(key, []).append((switch, dz, action))
+        entries = self._by_key.get(key)
+        if entries is None:
+            entries = self._by_key[key] = []
+            for index, value in self._identity(key):
+                index.setdefault(value, {})[key] = None
+        entries.append((switch, dz, action))
         return changed
 
     def remove_key(self, key: PathKey) -> dict[str, set[Dz]]:
@@ -95,12 +106,28 @@ class FlowLedger:
         (pairs that disappeared because their last holder left).
         """
         entries = self._by_key.pop(key, [])
+        if entries:
+            for index, value in self._identity(key):
+                keys = index[value]
+                del keys[key]
+                if not keys:
+                    del index[value]
         changed: dict[str, set[Dz]] = {}
         for switch, dz, action in entries:
             trie = self._tries.get(switch)
             if trie is not None and trie.remove(dz, action):
                 changed.setdefault(switch, set()).add(dz)
         return changed
+
+    def _identity(
+        self, key: PathKey
+    ) -> tuple[tuple[dict[int, dict[PathKey, None]], int], ...]:
+        """Each identity index paired with ``key``'s value in it."""
+        return (
+            (self._by_tree, key.tree_id),
+            (self._by_adv, key.adv_id),
+            (self._by_sub, key.sub_id),
+        )
 
     def remove_keys_where(
         self,
@@ -111,15 +138,8 @@ class FlowLedger:
         """Drop all paths matching the given identity components."""
         if tree_id is None and adv_id is None and sub_id is None:
             raise ControllerError("refusing to drop the entire ledger")
-        doomed = [
-            key
-            for key in self._by_key
-            if (tree_id is None or key.tree_id == tree_id)
-            and (adv_id is None or key.adv_id == adv_id)
-            and (sub_id is None or key.sub_id == sub_id)
-        ]
         changed: dict[str, set[Dz]] = {}
-        for key in doomed:
+        for key in self.keys_for(tree_id, adv_id, sub_id):
             for switch, dzs in self.remove_key(key).items():
                 changed.setdefault(switch, set()).update(dzs)
         return changed
@@ -143,9 +163,21 @@ class FlowLedger:
         adv_id: int | None = None,
         sub_id: int | None = None,
     ) -> list[PathKey]:
+        """The keys matching the given identity components, in the order
+        they entered the ledger (every key when none is given)."""
+        candidates: Collection[PathKey] = self._by_key
+        for index, value in (
+            (self._by_tree, tree_id),
+            (self._by_adv, adv_id),
+            (self._by_sub, sub_id),
+        ):
+            if value is not None:
+                keys = index.get(value, {})
+                if len(keys) < len(candidates):
+                    candidates = keys
         return [
             key
-            for key in self._by_key
+            for key in candidates
             if (tree_id is None or key.tree_id == tree_id)
             and (adv_id is None or key.adv_id == adv_id)
             and (sub_id is None or key.sub_id == sub_id)

@@ -51,6 +51,17 @@ class Dz:
         if not set(self.bits) <= _VALID_BITS:
             raise SpatialIndexError(f"dz must be a binary string, got {self.bits!r}")
 
+    @classmethod
+    def trusted(cls, bits: str) -> "Dz":
+        """Build a dz from bits already known to be binary, unchecked.
+
+        For bits derived from a valid dz (a prefix, a child, a sibling);
+        outside input goes through ``Dz(...)``, which validates.
+        """
+        dz = object.__new__(cls)
+        object.__setattr__(dz, "bits", bits)
+        return dz
+
     # ------------------------------------------------------------------
     # basic structure
     # ------------------------------------------------------------------
@@ -74,25 +85,25 @@ class Dz:
         """The half subspace obtained by appending ``bit`` (0 or 1)."""
         if bit not in (0, 1):
             raise SpatialIndexError(f"child bit must be 0 or 1, got {bit!r}")
-        return Dz(self.bits + str(bit))
+        return Dz.trusted(self.bits + ("1" if bit else "0"))
 
     def parent(self) -> "Dz":
         """The enclosing subspace one level up; the root has no parent."""
         if self.is_root:
             raise SpatialIndexError("the root dz has no parent")
-        return Dz(self.bits[:-1])
+        return Dz.trusted(self.bits[:-1])
 
     def sibling(self) -> "Dz":
         """The other half of this dz's parent subspace."""
         if self.is_root:
             raise SpatialIndexError("the root dz has no sibling")
         last = "1" if self.bits[-1] == "0" else "0"
-        return Dz(self.bits[:-1] + last)
+        return Dz.trusted(self.bits[:-1] + last)
 
     def ancestors(self) -> Iterator["Dz"]:
         """All strict prefixes, from the root down to the direct parent."""
         for i in range(len(self.bits)):
-            yield Dz(self.bits[:i])
+            yield Dz.trusted(self.bits[:i])
 
     def truncate(self, max_len: int) -> "Dz":
         """This dz limited to ``max_len`` bits (the enclosing coarser cell).
@@ -103,7 +114,7 @@ class Dz:
         """
         if max_len < 0:
             raise SpatialIndexError("max_len must be non-negative")
-        return Dz(self.bits[:max_len])
+        return Dz.trusted(self.bits[:max_len])
 
     # ------------------------------------------------------------------
     # the covering algebra (paper Sec. 2, properties 1-4)
@@ -148,7 +159,7 @@ class Dz:
         prefix = self.bits
         for bit in other.bits[len(self.bits):]:
             flipped = "1" if bit == "0" else "0"
-            remainder.append(Dz(prefix + flipped))
+            remainder.append(Dz.trusted(prefix + flipped))
             prefix += bit
         return remainder
 
@@ -158,7 +169,7 @@ class Dz:
         i = 0
         while i < limit and self.bits[i] == other.bits[i]:
             i += 1
-        return Dz(self.bits[:i])
+        return Dz.trusted(self.bits[:i])
 
     # ------------------------------------------------------------------
     # construction helpers

@@ -53,15 +53,53 @@ def _cell_of(dz: Dz, dimensions: int) -> Box:
     return tuple(zip(lows, highs))
 
 
-def _box_relation(cell: Box, box: Box) -> str:
-    """Classify ``cell`` against ``box``: 'inside', 'disjoint' or 'partial'."""
-    inside = True
+#: A frontier cell of the filter decomposition: its dz bits, its box, and
+#: how many dimensions of the box it still sticks out of (0: inside).
+_Cell = tuple[str, Box, int]
+
+
+def _open_dims(cell: Box, box: Box) -> int:
+    """Dimensions along which ``cell`` sticks out of ``box``; -1 if the
+    two are disjoint."""
+    open_dims = 0
     for (c_lo, c_hi), (b_lo, b_hi) in zip(cell, box):
         if c_lo >= b_hi or b_lo >= c_hi:
-            return "disjoint"
+            return -1
         if c_lo < b_lo or c_hi > b_hi:
-            inside = False
-    return "inside" if inside else "partial"
+            open_dims += 1
+    return open_dims
+
+
+def _split(
+    partial: list[_Cell], box: Box, dimensions: int, max_len: int,
+    final: list[str],
+) -> list[_Cell]:
+    """Halve every partially overlapping cell of one refinement level.
+
+    Children inside ``box`` or at ``max_len`` bits go to ``final``,
+    disjoint ones are dropped, and the still partial ones are returned.
+    A child halves its parent's box on dimension ``len(bits) % k`` (the
+    arithmetic :func:`_cell_of` repeats from the root), and only that
+    dimension's relation to ``box`` can change.
+    """
+    children: list[_Cell] = []
+    for bits, cell, open_dims in partial:
+        dim = len(bits) % dimensions
+        lo, hi = cell[dim]
+        b_lo, b_hi = box[dim]
+        mid = (lo + hi) / 2.0
+        others_open = open_dims - (lo < b_lo or hi > b_hi)
+        at_limit = len(bits) + 1 >= max_len
+        for bit, c_lo, c_hi in (("0", lo, mid), ("1", mid, hi)):
+            if c_lo >= b_hi or b_lo >= c_hi:
+                continue
+            child_open = others_open + (c_lo < b_lo or c_hi > b_hi)
+            if child_open == 0 or at_limit:
+                final.append(bits + bit)
+            else:
+                child_cell = cell[:dim] + ((c_lo, c_hi),) + cell[dim + 1:]
+                children.append((bits + bit, child_cell, child_open))
+    return children
 
 
 @dataclass(frozen=True)
@@ -158,29 +196,24 @@ class SpatialIndexer:
         box = filt.normalized_box(self.space)
         k = self.space.dimensions
 
-        final: list[Dz] = []
-        frontier: list[Dz] = [ROOT]
-        while frontier:
-            next_frontier: list[Dz] = []
-            for dz in frontier:
-                relation = _box_relation(_cell_of(dz, k), box)
-                if relation == "disjoint":
-                    continue
-                if relation == "inside" or len(dz) >= max_len:
-                    final.append(dz)
-                else:
-                    next_frontier.append(dz)
+        # Partial cells carry their box (see _split), so no cell's box is
+        # recomputed from the root; dz objects are made for output only.
+        final: list[str] = []
+        partial: list[_Cell] = []
+        root = _cell_of(ROOT, k)
+        open_dims = _open_dims(root, box)
+        if open_dims == 0:
+            final.append(ROOT.bits)
+        elif open_dims > 0:
+            partial.append((ROOT.bits, root, open_dims))
+        while partial:
             # Each partial cell splits into two; stop refining when the
             # worst-case output would exceed the budget.
-            if len(final) + 2 * len(next_frontier) > self.max_cells:
-                final.extend(next_frontier)
+            if len(final) + 2 * len(partial) > self.max_cells:
+                final.extend(bits for bits, _, _ in partial)
                 break
-            frontier = [
-                child
-                for dz in next_frontier
-                for child in (dz.child(0), dz.child(1))
-            ]
-        return DzSet(frozenset(final))
+            partial = _split(partial, box, k, max_len, final)
+        return DzSet(map(Dz.trusted, final))
 
     def matches(self, dzset: DzSet, event: Event) -> bool:
         """True iff the event's maximal dz falls inside the DZ region.

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core.dz import ROOT, Dz
 from repro.core.dzset import DzSet
 
-bits = st.text(alphabet="01", min_size=0, max_size=12)
+bits = st.text(alphabet="01", min_size=0, max_size=24)
 dzs = bits.map(Dz)
 dz_lists = st.lists(bits, min_size=0, max_size=8).map(
     lambda items: DzSet.of(*items)
@@ -20,8 +20,9 @@ def region_contains(dzset: DzSet, probe: Dz) -> bool:
 
 @st.composite
 def probes(draw):
-    """A fine probe cell used to compare regions semantically."""
-    return Dz(draw(st.text(alphabet="01", min_size=14, max_size=14)))
+    """A probe cell finer than any drawn member, to compare regions
+    semantically."""
+    return Dz(draw(st.text(alphabet="01", min_size=26, max_size=26)))
 
 
 class TestCoverPartialOrder:
