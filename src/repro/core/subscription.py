@@ -57,6 +57,20 @@ class Filter:
     """
 
     predicates: Mapping[str, RangePredicate]
+    # ``(name, low, high)`` per predicate, precomputed for :meth:`matches`
+    _bounds: tuple[tuple[str, float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "_bounds",
+            tuple([
+                (name, pred.low, pred.high)
+                for name, pred in self.predicates.items()
+            ]),
+        )
 
     @classmethod
     def of(cls, **ranges: tuple[float, float]) -> "Filter":
@@ -76,11 +90,21 @@ class Filter:
         return self.predicates.get(name)
 
     def matches(self, event: Event) -> bool:
-        """True iff the event satisfies every predicate."""
-        return all(
-            pred.matches(event.value(name))
-            for name, pred in self.predicates.items()
-        )
+        """True iff the event satisfies every predicate.
+
+        Checks the bounds in predicate order and stops at the first one
+        that fails; an attribute the event lacks raises
+        :class:`~repro.exceptions.SchemaError` when its bound is reached.
+        """
+        values = event.values
+        try:
+            for name, low, high in self._bounds:
+                if not low <= values[name] <= high:
+                    return False
+        except KeyError:
+            event.value(name)
+            raise
+        return True
 
     def matches_along(self, name: str, event: Event) -> bool:
         """True iff the event satisfies the constraint on one dimension.
@@ -146,7 +170,16 @@ class Subscription:
         return cls(filter=Filter.of(**ranges))
 
     def matches(self, event: Event) -> bool:
-        return self.filter.matches(event)
+        # inlines Filter.matches: this is the per-delivery classification
+        values = event.values
+        try:
+            for name, low, high in self.filter._bounds:
+                if not low <= values[name] <= high:
+                    return False
+        except KeyError:
+            event.value(name)
+            raise
+        return True
 
     def __str__(self) -> str:
         return f"Sub#{self.sub_id}{self.filter}"

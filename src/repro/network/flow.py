@@ -154,7 +154,7 @@ class FlowEntry:
         return f"[{self.match} prio={self.priority} -> {{{acts}}}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowStats:
     """Per-rule hardware counters, as real TCAMs keep them (OF 1.3 §A.3.5).
 
@@ -269,7 +269,8 @@ class FlowTable:
         Hot path (called per forwarded packet): two dict probes and three
         field writes.
         """
-        stats = self._stats_by_len[entry.match.prefix_len][entry.match.network]
+        match = entry.match
+        stats = self._stats_by_len[match.prefix_len][match.network]
         stats.packets += 1
         stats.bytes += size_bytes
         stats.last_hit_at = now
@@ -295,9 +296,9 @@ class FlowTable:
         self.lookups += 1
         best: FlowEntry | None = None
         best_key = (-1, -1)
+        masks = _MASKS
         for plen, bucket in self._by_len.items():
-            network = address & _mask_of(plen)
-            entry = bucket.get(network)
+            entry = bucket.get(address & masks[plen])
             if entry is not None:
                 key = (entry.priority, plen)
                 if key > best_key:
@@ -310,7 +311,7 @@ class FlowTable:
         """All entries whose prefix matches (most specific first)."""
         hits = []
         for plen in sorted(self._by_len, reverse=True):
-            entry = self._by_len[plen].get(address & _mask_of(plen))
+            entry = self._by_len[plen].get(address & _MASKS[plen])
             if entry is not None:
                 hits.append(entry)
         hits.sort(key=lambda e: (e.priority, e.match.prefix_len), reverse=True)
@@ -321,3 +322,7 @@ def _mask_of(prefix_len: int) -> int:
     if prefix_len == 0:
         return 0
     return ((1 << prefix_len) - 1) << (128 - prefix_len)
+
+
+#: ``_MASKS[plen]`` is the network mask of an IPv6 prefix of length ``plen``.
+_MASKS: tuple[int, ...] = tuple(_mask_of(plen) for plen in range(129))

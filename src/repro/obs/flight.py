@@ -114,10 +114,29 @@ class FlightStats:
         }
 
 
+class _SamplingMemo(OrderedDict[int, bool]):
+    """Sampling decisions per packet id; looking up a new id draws one.
+
+    Bounded FIFO: past ``capacity`` ids the oldest decision is evicted.
+    """
+
+    def __init__(self, draw: Callable[[], bool], capacity: int) -> None:
+        super().__init__()
+        self._draw = draw
+        self._capacity = capacity
+
+    def __missing__(self, packet_id: int) -> bool:
+        decision = self._draw()
+        self[packet_id] = decision
+        if len(self) > self._capacity:
+            self.popitem(last=False)
+        return decision
+
+
 class FlightRecorder:
     """Bounded, sampled hop-history store for the simulated data plane.
 
-    Devices call :meth:`wants` with a packet id before computing any
+    Devices call :attr:`wants` with a packet id before computing any
     record detail, then :meth:`add` for sampled packets.  Analysis code
     reads :attr:`records` (insertion order equals sim-time order, since
     the simulator never runs backwards) or :meth:`by_packet`.
@@ -143,28 +162,28 @@ class FlightRecorder:
         self.sample_every = sample_every
         self.capacity = capacity
         self._rng = random.Random(seed)
-        self._decisions: OrderedDict[int, bool] = OrderedDict()
-        self._decision_capacity = self.DECISION_CAPACITY_FACTOR * capacity
+        self._decisions = _SamplingMemo(
+            self._draw, self.DECISION_CAPACITY_FACTOR * capacity
+        )
+        #: ``wants(packet_id)``: should this packet's hops be recorded?
+        #: Memoised 1-in-N.  Bound straight to the memo's C-level
+        #: subscript, so a packet already decided costs no Python frame.
+        self.wants: Callable[[int], bool] = self._decisions.__getitem__
         self.records: deque[HopRecord] = deque(maxlen=capacity)
         self.stats = FlightStats()
 
     # ------------------------------------------------------------------
     # recording (device-facing, hot path)
     # ------------------------------------------------------------------
-    def wants(self, packet_id: int) -> bool:
-        """Should this packet's hops be recorded?  Memoised 1-in-N."""
-        decision = self._decisions.get(packet_id)
-        if decision is None:
-            self.stats.packets_seen += 1
-            if self.sample_every == 1:
-                decision = True
-            else:
-                decision = self._rng.randrange(self.sample_every) == 0
-            if decision:
-                self.stats.packets_sampled += 1
-            self._decisions[packet_id] = decision
-            if len(self._decisions) > self._decision_capacity:
-                self._decisions.popitem(last=False)
+    def _draw(self) -> bool:
+        """The sampling decision for a packet id seen for the first time."""
+        self.stats.packets_seen += 1
+        if self.sample_every == 1:
+            decision = True
+        else:
+            decision = self._rng.randrange(self.sample_every) == 0
+        if decision:
+            self.stats.packets_sampled += 1
         return decision
 
     def add(

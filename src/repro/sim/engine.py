@@ -1,16 +1,19 @@
 """A minimal, deterministic discrete-event simulation engine.
 
 The network substrate (switches, links, hosts) and the control plane run on
-this engine.  It is a classic calendar queue: callbacks scheduled at absolute
-times, executed in time order, with FIFO tie-breaking via a monotonically
-increasing sequence number so runs are fully deterministic for a fixed seed.
+this engine.  Callbacks are scheduled at absolute times and kept in a
+binary heap of ``(time, seq, event)`` tuples.  ``seq`` comes from a
+monotonically increasing counter, so it is unique: the heap orders by time
+with FIFO tie-breaking among equal times, never compares two events, and
+runs are fully deterministic for a fixed seed.  Cancellation is lazy: a
+cancelled event stays queued and is skipped when it reaches the head.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import math
 from collections.abc import Callable
 from typing import Any
 
@@ -19,15 +22,24 @@ from repro.exceptions import SimulationError
 __all__ = ["Simulator", "ScheduledEvent"]
 
 
-@dataclass(order=True)
 class ScheduledEvent:
-    """A pending callback in the event queue."""
+    """A pending callback in the event queue; the handle ``schedule``
+    returns, so the caller can :meth:`cancel` it."""
 
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., None],
+        args: tuple[Any, ...] = (),
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from firing (lazy deletion)."""
@@ -39,7 +51,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._queue: list[ScheduledEvent] = []
+        self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._processed = 0
 
@@ -57,22 +69,25 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled callbacks still queued."""
-        return sum(1 for ev in self._queue if not ev.cancelled)
+        return sum(1 for _, _, ev in self._queue if not ev.cancelled)
 
     # ------------------------------------------------------------------
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
-        """Run ``callback(*args)`` after ``delay`` seconds of sim time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past ({delay=})")
-        event = ScheduledEvent(
-            time=self._now + delay,
-            seq=next(self._seq),
-            callback=callback,
-            args=args,
-        )
-        heapq.heappush(self._queue, event)
+        """Run ``callback(*args)`` after ``delay`` seconds of sim time.
+
+        ``delay`` must be a finite number ``>= 0``: a NaN key would
+        silently corrupt the heap order, an infinite one never fires.
+        """
+        if not 0 <= delay < math.inf:
+            raise SimulationError(
+                f"delay must be finite and non-negative ({delay=})"
+            )
+        time = self._now + delay
+        seq = next(self._seq)
+        event = ScheduledEvent(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(
@@ -83,16 +98,20 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
+        # Goes through the relative delay on purpose: ``now + (time - now)``
+        # can round differently from ``time``, and sim-time outputs depend
+        # on the rounding this engine has always used.
         return self.schedule(time - self._now, callback, *args)
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self._processed += 1
             event.callback(*event.args)
             return True
@@ -105,18 +124,20 @@ class Simulator:
         queued and ``now`` is advanced to ``until``); ``max_events`` bounds
         the number of executed callbacks (a runaway guard for tests).
         """
+        queue = self._queue
+        step = self.step
         executed = 0
-        while self._queue:
+        while queue:
             if max_events is not None and executed >= max_events:
                 return
-            head = self._queue[0]
+            head_time, _, head = queue[0]
             if head.cancelled:
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 continue
-            if until is not None and head.time > until:
+            if until is not None and head_time > until:
                 self._now = max(self._now, until)
                 return
-            self.step()
+            step()
             executed += 1
         if until is not None:
             self._now = max(self._now, until)

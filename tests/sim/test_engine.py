@@ -39,6 +39,29 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             Simulator().schedule(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending_events == 0
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_absolute_time_rejected(self, time):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(time, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_zero_delay_accepted(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(0.0, fired.append, "now")
+        sim.run()
+        assert fired == ["now"] and sim.now == 0.0
+
     def test_schedule_at_absolute(self):
         sim = Simulator()
         seen = []
