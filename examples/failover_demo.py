@@ -4,10 +4,11 @@
 Two capabilities beyond the paper's evaluation (its conclusion lists them
 as future work) that this reproduction implements:
 
-1. **link/switch failure repair** — trees routed over a dead link are
-   rebuilt over the surviving fabric and their paths re-installed;
-2. **overload reaction** — a utilization sampler spots a hot link and the
-   controller moves the busiest tree onto an alternative route.
+1. **link/switch failure repair** — one repair pass of the controller's
+   orchestrator rebuilds the trees routed over a dead link or switch over
+   the surviving fabric and re-installs their paths;
+2. **overload reaction** — a link-utilization probe spots a hot link and
+   the controller moves the busiest tree onto an alternative route.
 
 Run:  python examples/failover_demo.py
 """
@@ -20,7 +21,7 @@ from repro import (
     paper_fat_tree,
 )
 from repro.controller.overload import OverloadManager
-from repro.network.stats import LinkUtilizationSampler
+from repro.obs.samplers import LinkUtilizationProbe
 
 
 def drive(middleware, publisher, events, interval=1e-3):
@@ -46,7 +47,9 @@ def main() -> None:
 
     manager = OverloadManager(
         controller=middleware.controllers[0],
-        sampler=LinkUtilizationSampler(middleware.network),
+        sampler=LinkUtilizationProbe(
+            middleware.network, middleware.network.registry
+        ),
         threshold=0.5,
     )
 

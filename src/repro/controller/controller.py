@@ -466,140 +466,66 @@ class PleromaController:
             self._withdraw(changed)
 
     # ------------------------------------------------------------------
-    # failure handling (beyond the paper: its future work asks for
-    # "mechanisms to detect and react" to dynamic network conditions)
+    # tree repair (beyond the paper: its future work asks for "mechanisms
+    # to detect and react" to dynamic network conditions)
     # ------------------------------------------------------------------
-    def handle_link_failure(self, a: str, b: str) -> None:
-        """Repair after a switch-to-switch link inside the partition dies.
+    def restructure_tree(
+        self, tree: SpanningTree, root: str, parents: dict[str, str]
+    ) -> None:
+        """Re-deploy ``tree`` on a new structure: same DZ and members.
 
-        Every tree routed over the failed edge is rebuilt over the
-        surviving graph (same root, same DZ, same members) and its paths
-        re-installed; unaffected trees keep their flows untouched.  Raises
-        if the partition is disconnected — there is then no spanning tree
-        to repair to.
+        The one primitive behind every tree repair and reroute: withdraw
+        the tree's paths, swap in ``root``/``parents``, and re-install the
+        paths of every publisher still active.  Structures are planned by
+        :class:`repro.resilience.repair.RepairPlanner` (failures) or
+        :meth:`reroute_tree_around_edge` (overload).
         """
-        with self._request("link_failure"):
-            if a not in self.partition or b not in self.partition:
-                raise ControllerError(
-                    f"link {a!r}<->{b!r} is not internal to partition "
-                    f"{self.name!r}"
-                )
-            if frozenset((a, b)) in {
-                frozenset((s.a, s.b)) for s in self.topology.links()
-            }:
-                self.topology.remove_link(a, b)
-            self._rebuild_trees(
-                [t for t in self.trees if t.uses_edge(a, b)]
-            )
-
-    def handle_switch_failure(self, name: str) -> None:
-        """Repair after a whole switch inside the partition dies.
-
-        Clients attached to the dead switch are withdrawn (their hosts are
-        unreachable); every tree is rebuilt over the surviving switches.
-        """
-        with self._request("switch_failure"):
-            if name not in self.partition:
-                raise ControllerError(
-                    f"switch {name!r} is not in partition {self.name!r}"
-                )
-            for sub in [
-                s for s in self.subscriptions.values()
-                if s.endpoint.switch == name
-            ]:
-                self.unsubscribe(sub.sub_id)
-            for adv in [
-                a_ for a_ in self.advertisements.values()
-                if a_.endpoint.switch == name
-            ]:
-                self.unadvertise(adv.adv_id)
-            for neighbor in list(self.topology.neighbors(name)):
-                if self.topology.is_switch(neighbor):
-                    self.topology.remove_link(name, neighbor)
-            self.partition.discard(name)
-            self.trees.partition.discard(name)
-            self._rebuild_trees(list(self.trees))
+        changed = self.ledger.remove_keys_where(tree_id=tree.tree_id)
+        tree.root = root
+        tree.replace_structure(parents)
+        self._withdraw(changed)
+        for adv_id, member in sorted(tree.publishers.items()):
+            adv = self.advertisements.get(adv_id)
+            if adv is None:
+                tree.leave_publisher(adv_id)
+                continue
+            self._add_flow_mult_sub(tree, adv, member.overlap)
 
     def reroute_tree_around_edge(
         self, tree_id: int, a: str, b: str
     ) -> RerouteOutcome:
         """Move one tree off a (hot or dead) edge, if an alternative exists.
 
-        Returns a :class:`RerouteOutcome` (truthy exactly when the tree was
-        re-deployed on a structure avoiding the edge): ``TREE_NOT_ON_EDGE``
-        when the tree never routed over it, ``EDGE_IS_BRIDGE`` when the
-        partition offers no spanning structure without the edge — the case
-        where a failure-driven caller must fall back to degraded partial
-        trees instead of leaving flows pointed at the dead edge.  This is
-        the *reaction* half of overload handling (the paper's future work);
-        detection lives in :class:`repro.controller.overload.OverloadManager`
-        and, for failures, :class:`repro.resilience.detector.FailureDetector`.
+        The structure comes from the configured tree builder over the
+        planning topology minus the edge (restored right after); no client
+        is ever suspended.  Returns a :class:`RerouteOutcome`, truthy
+        exactly when the tree was re-deployed avoiding the edge:
+        ``TREE_NOT_ON_EDGE`` when the tree never routed over it,
+        ``EDGE_IS_BRIDGE`` when no spanning structure exists without it.
+        This is the *reaction* half of overload handling (the paper's
+        future work); detection lives in
+        :class:`repro.controller.overload.OverloadManager`.
         """
-        import networkx as nx
-
-        from repro.network.topology import _spt_tie_break
-
         tree = self.trees.get(tree_id)
         if not tree.uses_edge(a, b):
             return RerouteOutcome.TREE_NOT_ON_EDGE
-        sg = self.topology.switch_graph(self.partition)
-        if sg.has_edge(a, b):
-            sg.remove_edge(a, b)
-        dist = nx.single_source_shortest_path_length(sg, tree.root)
-        if set(dist) != self.partition:
-            return RerouteOutcome.EDGE_IS_BRIDGE  # no spanning tree without it
-        parents: dict[str, str] = {}
-        for node, d in dist.items():
-            if node == tree.root:
-                continue
-            candidates = [
-                nb for nb in sg.neighbors(node) if dist.get(nb) == d - 1
-            ]
-            parents[node] = min(
-                candidates,
-                key=lambda nb: _spt_tie_break(tree.root, node, nb),
-            )
-        with self._request("reroute"):
-            changed = self.ledger.remove_keys_where(tree_id=tree.tree_id)
-            tree.replace_structure(parents)
-            self._withdraw(changed)
-            for adv_id, member in list(tree.publishers.items()):
-                adv = self.advertisements.get(adv_id)
-                if adv is not None:
-                    self._add_flow_mult_sub(tree, adv, member.overlap)
-        return RerouteOutcome.REROUTED
-
-    def _rebuild_trees(self, trees: list[SpanningTree]) -> None:
-        """Recompute the structure of the given trees and re-deploy their
-        paths; trees whose root died are re-rooted at a surviving member."""
-        for tree in trees:
-            changed = self.ledger.remove_keys_where(tree_id=tree.tree_id)
-            root = tree.root
-            if root not in self.partition:
-                candidates = sorted(
-                    m.endpoint.switch
-                    for m in tree.publishers.values()
-                    if m.endpoint.switch in self.partition
-                ) or sorted(self.partition)
-                root = candidates[0]
-                tree.root = root
+        spec = (
+            self.topology.remove_link(a, b)
+            if self.topology.graph.has_edge(a, b)
+            else None
+        )
+        try:
             parents = self.trees.tree_builder(
-                self.topology, self.partition, root
+                self.topology, self.partition, tree.root
             )
-            if set(parents) | {root} != self.partition:
-                raise ControllerError(
-                    f"partition {self.name!r} is disconnected: cannot span "
-                    f"{sorted(self.partition - set(parents) - {root})} "
-                    f"from {root!r}"
-                )
-            tree.replace_structure(parents)
-            self._withdraw(changed)
-            for adv_id, member in list(tree.publishers.items()):
-                adv = self.advertisements.get(adv_id)
-                if adv is None:
-                    tree.leave_publisher(adv_id)
-                    continue
-                self._add_flow_mult_sub(tree, adv, member.overlap)
+        finally:
+            if spec is not None:
+                self.topology.restore_link(spec)
+        if set(parents) | {tree.root} != self.partition:
+            return RerouteOutcome.EDGE_IS_BRIDGE
+        with self._request("reroute"):
+            self.restructure_tree(tree, tree.root, parents)
+        return RerouteOutcome.REROUTED
 
     # ------------------------------------------------------------------
     # dimension selection support (Sec. 5)

@@ -5,7 +5,7 @@ need to be introduced in order to detect and react to overload situations
 in the presence of a dynamic workload."  This module implements one such
 mechanism on top of the reproduction's primitives:
 
-* **detect** — a :class:`~repro.network.stats.LinkUtilizationSampler`
+* **detect** — a :class:`~repro.obs.samplers.LinkUtilizationProbe`
   measures per-link utilization over sampling windows; a link above the
   configured threshold is *hot*;
 * **react** — among the trees routed over the hot edge, try to move the
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.controller.controller import PleromaController
 from repro.controller.tree import SpanningTree
 from repro.exceptions import ControllerError
-from repro.network.stats import LinkUtilizationSampler
+from repro.obs.samplers import LinkUtilizationProbe
 
 __all__ = ["OverloadEvent", "OverloadManager"]
 
@@ -52,7 +52,7 @@ class OverloadManager:
     """Watches one controller's partition and reroutes around hot links."""
 
     controller: PleromaController
-    sampler: LinkUtilizationSampler
+    sampler: LinkUtilizationProbe
     threshold: float = 0.8
     log: list[OverloadEvent] = field(default_factory=list)
 
@@ -85,7 +85,7 @@ class OverloadManager:
         Returns the event when an overload was detected (whether or not a
         reroute succeeded), None when everything is below threshold.
         """
-        samples = self.sampler.sample()
+        samples = self.sampler(self.controller.network.sim.now)
         partition = self.controller.partition
         hot_edge = None
         hot_sample = None

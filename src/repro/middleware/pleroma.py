@@ -18,7 +18,6 @@ code only touches this facade and the :class:`Publisher` /
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING
 
 from repro.controller.controller import (
     AdvertisementState,
@@ -39,11 +38,9 @@ from repro.network.fabric import Network, NetworkParams
 from repro.network.packet import EventPayload, Packet, event_packet_size
 from repro.network.topology import Topology, partition_switches
 from repro.obs.context import Observability
+from repro.resilience.detector import FailureDetector
+from repro.resilience.orchestrator import RecoveryOrchestrator
 from repro.sim.engine import Simulator
-
-if TYPE_CHECKING:
-    from repro.resilience.detector import FailureDetector
-    from repro.resilience.orchestrator import RecoveryOrchestrator
 
 __all__ = ["Pleroma"]
 
@@ -126,6 +123,12 @@ class Pleroma:
         self._dimsel_new_events = 0
         self._subscribers: dict[str, Subscriber] = {}
         self._host_subs: dict[str, dict[int, Subscription]] = {}
+        # one repair orchestrator per controller: failures reported by
+        # fail_link/fail_switch and detector verdicts share it
+        self._orchestrators = {
+            c.name: RecoveryOrchestrator(c, obs=self.obs, verify=False)
+            for c in self.controllers
+        }
         for host in topology.hosts():
             self.network.hosts[host].set_delivery_callback(
                 self._make_delivery_handler(host)
@@ -271,7 +274,8 @@ class Pleroma:
         raise ControllerError(f"no controller owns switch {switch!r}")
 
     def fail_link(self, a: str, b: str) -> None:
-        """Kill a switch-to-switch link (data plane) and repair (control).
+        """Kill a switch-to-switch link (data plane) and repair at once
+        (one orchestrator pass, no detection delay).
 
         Border links between partitions are not repairable — the paper's
         federation has no redundancy protocol across domains."""
@@ -284,7 +288,7 @@ class Pleroma:
                 "failover across partition borders is not supported"
             )
         self.network.link_between(a, b).fail()
-        owner_a.handle_link_failure(a, b)
+        self._orchestrators[owner_a.name].link_failed(a, b)
 
     def fail_switch(self, name: str) -> None:
         """Kill a whole switch and let its controller repair around it."""
@@ -293,7 +297,7 @@ class Pleroma:
         owner = self._controller_for_switch(name)
         for neighbor in self.topology.neighbors(name):
             self.network.link_between(name, neighbor).fail()
-        owner.handle_switch_failure(name)
+        self._orchestrators[owner.name].switch_failed(name)
 
     def enable_resilience(
         self,
@@ -301,23 +305,20 @@ class Pleroma:
         miss_threshold: int | None = None,
         seed: int = 0,
         verify: bool = True,
-    ) -> "tuple[FailureDetector, RecoveryOrchestrator]":
+    ) -> tuple[FailureDetector, RecoveryOrchestrator]:
         """Turn on the self-healing control plane (:mod:`repro.resilience`).
 
         Starts a :class:`~repro.resilience.detector.FailureDetector` probing
-        every switch link and wires its verdicts into a
-        :class:`~repro.resilience.orchestrator.RecoveryOrchestrator` that
+        every switch link and wires its verdicts into the controller's
+        :class:`~repro.resilience.orchestrator.RecoveryOrchestrator`, which
         repairs the deployment without any oracle knowledge of the failure
-        site.  ``fail_link``/``fail_switch`` stay available as the oracle
-        alternative (instant repair, no detection latency) — don't combine
-        the two on the same failure or it will be repaired twice.
+        site.  ``fail_link``/``fail_switch`` report to the same
+        orchestrator, so a failure they already repaired is not repaired
+        again when the detector confirms it.
 
         Single-controller deployments only: federated repair across
         partition borders has no redundancy protocol (Sec. 7 future work).
         """
-        from repro.resilience.detector import FailureDetector
-        from repro.resilience.orchestrator import RecoveryOrchestrator
-
         if len(self.controllers) != 1:
             raise ControllerError(
                 "resilience requires a single-partition deployment"
@@ -328,9 +329,8 @@ class Pleroma:
         if miss_threshold is not None:
             kwargs["miss_threshold"] = miss_threshold
         detector = FailureDetector(self.network, obs=self.obs, **kwargs)
-        orchestrator = RecoveryOrchestrator(
-            self.controllers[0], detector, obs=self.obs, verify=verify
-        )
+        orchestrator = self._orchestrators[self.controllers[0].name]
+        orchestrator.verify = verify
         detector.listeners.append(orchestrator.on_event)
         detector.start()
         return detector, orchestrator

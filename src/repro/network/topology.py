@@ -96,8 +96,9 @@ class Topology:
         self._graph.add_edge(a, b)
         self._links[key] = LinkSpec(a, b, delay_s, bandwidth_bps)
 
-    def remove_link(self, a: str, b: str) -> None:
-        """Remove a switch-to-switch link (planning view of a failure).
+    def remove_link(self, a: str, b: str) -> LinkSpec:
+        """Remove a switch-to-switch link (planning view of a failure) and
+        return its spec, for :meth:`restore_link`.
 
         Host attachment links cannot be removed — a host losing its access
         switch is handled as a client departure, not a routing change.
@@ -107,8 +108,17 @@ class Topology:
             raise TopologyError(f"no link {a!r} <-> {b!r}")
         if self.is_host(a) or self.is_host(b):
             raise TopologyError("host attachment links cannot be removed")
-        del self._links[key]
         self._graph.remove_edge(a, b)
+        return self._links.pop(key)
+
+    def restore_link(self, spec: LinkSpec) -> None:
+        """Add a removed link back with its original delay and bandwidth."""
+        self.add_link(
+            spec.a,
+            spec.b,
+            delay_s=spec.delay_s,
+            bandwidth_bps=spec.bandwidth_bps,
+        )
 
     # ------------------------------------------------------------------
     # inspection

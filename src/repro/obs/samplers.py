@@ -5,7 +5,9 @@ and runs its probes every ``period_s`` of *simulated* time.  To keep
 ``sim.run()`` terminating, the sampler pauses whenever a whole period
 passes in which the simulator executed nothing but the sampler's own tick
 (a quiet network); traffic sources re-arm it via :meth:`poke` (the
-``Pleroma`` facade does this on every publish).
+``Pleroma`` facade does this on every publish).  It is the one pausable
+periodic task: :class:`repro.obs.telemetry.StatsPoller` is a sampler
+with its own idle rule.
 
 Two probes ship with the middleware:
 
@@ -61,6 +63,7 @@ class PeriodicSampler:
         self._handle = None
         self._started = False
         self._processed_at_arm = 0
+        self._poked = False
 
     # ------------------------------------------------------------------
     def start(self) -> "PeriodicSampler":
@@ -76,9 +79,13 @@ class PeriodicSampler:
             self._handle = None
 
     def poke(self) -> None:
-        """Re-arm a sampler paused by a quiet period (called on traffic)."""
-        if self._started and self._handle is None:
+        """Note traffic; re-arms a sampler paused by a quiet period."""
+        if not self._started:
+            return
+        if self._handle is None:
             self._arm()
+        else:
+            self._poked = True
 
     @property
     def running(self) -> bool:
@@ -87,6 +94,7 @@ class PeriodicSampler:
     # ------------------------------------------------------------------
     def _arm(self) -> None:
         self._processed_at_arm = self.sim.processed_events
+        self._poked = False
         self._handle = self.sim.schedule(self.period_s, self._tick)
 
     def _tick(self) -> None:
@@ -94,10 +102,14 @@ class PeriodicSampler:
         self.ticks += 1
         for probe in self.probes:
             probe(self.sim.now)
-        # Only the tick itself ran since arming: the network is quiet —
-        # pause so draining the event queue terminates.
-        if self.sim.processed_events - self._processed_at_arm > 1:
+        # A quiet window pauses the sampler so draining the event queue
+        # terminates; the next poke re-arms it.
+        if self._active_since_arm():
             self._arm()
+
+    def _active_since_arm(self) -> bool:
+        """The idle rule: did the simulator run anything but this tick?"""
+        return self.sim.processed_events - self._processed_at_arm > 1
 
 
 class LinkUtilizationProbe:
@@ -106,11 +118,9 @@ class LinkUtilizationProbe:
     Per link: gauge ``link.utilization{link=a<->b}`` (load during the last
     window), one shared histogram ``link.utilization`` of every sample,
     and a bounded per-link :class:`LinkSample` history readable through
-    :meth:`latest` / :meth:`history` / :meth:`hottest`.
-
-    This is the single link-utilization implementation; the legacy
-    ``repro.network.stats.LinkUtilizationSampler`` is a deprecation shim
-    delegating here.
+    :meth:`latest` / :meth:`history` / :meth:`hottest`.  Calling the
+    probe takes one sample and returns it per link; the
+    :class:`~repro.controller.overload.OverloadManager` reads it that way.
     """
 
     def __init__(
@@ -162,7 +172,7 @@ class LinkUtilizationProbe:
         return results
 
     # ------------------------------------------------------------------
-    # history accessors (the former LinkUtilizationSampler API)
+    # history accessors
     # ------------------------------------------------------------------
     def latest(self, a: str, b: str) -> LinkSample:
         history = self._histories.get(frozenset((a, b)))

@@ -4,13 +4,12 @@ The planner is pure computation over the controller's *planning view*
 (its topology, from which the orchestrator has already removed the edges
 believed down): it never mutates controller state, which makes it
 unit-testable in isolation and keeps the orchestrator a thin executor.
-
-Generalisation of ``reroute_tree_around_edge``:
+Every failure repair is planned here, whoever reported the failure:
 
 * **multi-edge / switch loss** — the plan is computed against the whole
-  surviving switch graph, not one removed edge, so any set of concurrent
-  failures (including every link of a crashed switch) is handled by one
-  pass;
+  surviving switch graph with the controller's tree builder, so any set
+  of concurrent failures (including every link of a crashed switch) is
+  handled by one pass;
 * **degraded partial trees** — when the surviving graph is split, the
   *primary* component (largest; ties broken by smallest switch name, so
   the choice is deterministic) stays in service.  Trees are rebuilt as
@@ -30,22 +29,13 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from repro.controller.controller import PleromaController
-from repro.core.dzset import DzSet
-from repro.core.subscription import Advertisement, Subscription
+from repro.controller.controller import (
+    AdvertisementState,
+    PleromaController,
+    SubscriptionState,
+)
 
-__all__ = ["RepairPlanner", "RepairPlan", "TreeRepair", "SuspendedClient"]
-
-
-@dataclass(frozen=True)
-class SuspendedClient:
-    """A withdrawn-but-remembered client (advertisement or subscription)."""
-
-    client_id: int
-    host: str
-    switch: str
-    dz_set: DzSet
-    request: Advertisement | Subscription | None = None
+__all__ = ["RepairPlanner", "RepairPlan", "TreeRepair"]
 
 
 @dataclass
@@ -102,8 +92,8 @@ class RepairPlanner:
     # ------------------------------------------------------------------
     def plan(
         self,
-        suspended_advs: dict[int, SuspendedClient],
-        suspended_subs: dict[int, SuspendedClient],
+        suspended_advs: dict[int, AdvertisementState],
+        suspended_subs: dict[int, SubscriptionState],
     ) -> RepairPlan:
         """Decide suspensions, resumptions and tree rebuilds.
 
@@ -131,13 +121,13 @@ class RepairPlanner:
         )
         plan.resume_advs = sorted(
             adv_id
-            for adv_id, client in suspended_advs.items()
-            if client.switch in primary
+            for adv_id, state in suspended_advs.items()
+            if state.endpoint.switch in primary
         )
         plan.resume_subs = sorted(
             sub_id
-            for sub_id, client in suspended_subs.items()
-            if client.switch in primary
+            for sub_id, state in suspended_subs.items()
+            if state.endpoint.switch in primary
         )
         suspended_now = set(plan.suspend_advs)
         for tree in sorted(controller.trees, key=lambda t: t.tree_id):

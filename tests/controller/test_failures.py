@@ -7,6 +7,7 @@ from repro.core.subscription import Advertisement, Subscription
 from repro.exceptions import ControllerError
 from repro.middleware.pleroma import Pleroma
 from repro.network.topology import line, paper_fat_tree, ring
+from repro.resilience.orchestrator import RecoveryOrchestrator
 
 FULL = (0, 1023)
 MID = (512, 767)
@@ -119,8 +120,9 @@ class TestLinkFailureRepair:
 
     def test_foreign_link_rejected_by_controller(self):
         middleware, _, _ = fat_tree_middleware()
+        orchestrator = RecoveryOrchestrator(middleware.controllers[0])
         with pytest.raises(ControllerError):
-            middleware.controllers[0].handle_link_failure("R1", "R99")
+            orchestrator.link_failed("R1", "R99")
 
 
 class TestSwitchFailureRepair:
@@ -170,7 +172,7 @@ class TestSwitchFailureRepair:
         with pytest.raises(ControllerError):
             middleware.fail_switch("R99")
         with pytest.raises(ControllerError):
-            middleware.controllers[0].handle_switch_failure("R99")
+            RecoveryOrchestrator(middleware.controllers[0]).switch_failed("R99")
 
     def test_failure_stats_recorded(self):
         middleware, _, _ = fat_tree_middleware()

@@ -8,8 +8,8 @@ from repro.core.subscription import Advertisement, Subscription
 from repro.exceptions import ControllerError
 from repro.middleware.pleroma import Pleroma
 from repro.network.fabric import NetworkParams
-from repro.network.stats import LinkUtilizationSampler
 from repro.network.topology import paper_fat_tree
+from repro.obs.samplers import LinkUtilizationProbe
 
 FULL = (0, 1023)
 
@@ -25,7 +25,9 @@ def build(bandwidth=8e6):
     publisher.advertise(Advertisement.of(attr0=FULL).filter)
     subscriber = middleware.subscriber("h8")
     subscriber.subscribe(Subscription.of(attr0=FULL).filter)
-    sampler = LinkUtilizationSampler(middleware.network)
+    sampler = LinkUtilizationProbe(
+        middleware.network, middleware.network.registry
+    )
     manager = OverloadManager(
         controller=middleware.controllers[0],
         sampler=sampler,
@@ -90,7 +92,9 @@ class TestDetection:
         with pytest.raises(ControllerError):
             OverloadManager(
                 controller=middleware.controllers[0],
-                sampler=LinkUtilizationSampler(middleware.network),
+                sampler=LinkUtilizationProbe(
+                    middleware.network, middleware.network.registry
+                ),
                 threshold=0.0,
             )
 

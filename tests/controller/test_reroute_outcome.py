@@ -57,3 +57,36 @@ class TestBoolCompatibility:
         assert bool(RerouteOutcome.REROUTED)
         assert not bool(RerouteOutcome.TREE_NOT_ON_EDGE)
         assert not bool(RerouteOutcome.EDGE_IS_BRIDGE)
+
+
+class TestConfiguredBuilder:
+    def test_mst_reroute_is_the_mst_without_the_edge(self):
+        """The reroute plans with the controller's tree builder, not a
+        hard-coded shortest-path tree, and delivery survives it."""
+        from repro.controller.tree_builders import minimum_spanning_tree
+        from repro.core.events import Event
+        from repro.core.subscription import Subscription
+        from tests.helpers import make_system
+
+        system = make_system(paper_fat_tree(), tree_builder="mst")
+        controller = system.controller
+        controller.advertise("h1", Advertisement.of(attr0=FULL))
+        controller.subscribe("h8", Subscription.of(attr0=FULL))
+        tree = next(iter(controller.trees))
+        child, parent = next(iter(tree.parents.items()))
+        outcome = controller.reroute_tree_around_edge(
+            tree.tree_id, child, parent
+        )
+        assert outcome is RerouteOutcome.REROUTED
+        without = paper_fat_tree()
+        without.remove_link(child, parent)
+        assert tree.parents == minimum_spanning_tree(
+            without, controller.partition, tree.root
+        )
+        # the planning view got the edge back, with its original spec
+        assert controller.topology.link_between(
+            child, parent
+        ) == paper_fat_tree().link_between(child, parent)
+        system.publish("h1", Event.of(attr0=100))
+        system.run()
+        assert len(system.delivered_events("h8")) == 1

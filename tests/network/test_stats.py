@@ -1,4 +1,4 @@
-"""Unit tests for link-utilization sampling."""
+"""Unit tests for link-utilization sampling (``LinkUtilizationProbe``)."""
 
 import pytest
 
@@ -8,8 +8,8 @@ from repro.exceptions import TopologyError
 from repro.network.fabric import Network, NetworkParams
 from repro.network.flow import Action, FlowEntry
 from repro.network.packet import Packet
-from repro.network.stats import LinkUtilizationSampler
 from repro.network.topology import line
+from repro.obs.samplers import LinkUtilizationProbe
 from repro.sim.engine import Simulator
 
 
@@ -33,6 +33,10 @@ def rig():
     return sim, net
 
 
+def probe_of(net):
+    return LinkUtilizationProbe(net, net.registry)
+
+
 def blast(sim, net, packets: int, size: int = 1000, interval: float = 1e-3):
     for i in range(packets):
         sim.schedule(
@@ -50,8 +54,8 @@ def blast(sim, net, packets: int, size: int = 1000, interval: float = 1e-3):
 class TestSampling:
     def test_only_switch_links_tracked(self, rig):
         _, net = rig
-        sampler = LinkUtilizationSampler(net)
-        samples = sampler.sample()
+        probe = probe_of(net)
+        samples = probe(net.sim.now)
         assert all(
             all(name in net.switches for name in key) for key in samples
         )
@@ -59,50 +63,50 @@ class TestSampling:
 
     def test_utilization_measured(self, rig):
         sim, net = rig
-        sampler = LinkUtilizationSampler(net)
+        probe = probe_of(net)
         # 100 packets x 1000 B over 0.1 s on an 8 Mbit/s link = 100% load
         blast(sim, net, 100, size=1000, interval=1e-3)
-        sampler.sample()
-        hot = sampler.latest("R1", "R2")
+        probe(net.sim.now)
+        hot = probe.latest("R1", "R2")
         assert hot.utilization == pytest.approx(1.0, rel=0.15)
-        idle = sampler.latest("R2", "R3")
+        idle = probe.latest("R2", "R3")
         assert idle.utilization == 0.0
 
     def test_windows_are_deltas(self, rig):
         sim, net = rig
-        sampler = LinkUtilizationSampler(net)
+        probe = probe_of(net)
         blast(sim, net, 50)
-        sampler.sample()
+        probe(net.sim.now)
         # quiet window: utilization drops to zero
         sim.run(until=sim.now + 1.0)
-        sampler.sample()
-        assert sampler.latest("R1", "R2").utilization == 0.0
+        probe(net.sim.now)
+        assert probe.latest("R1", "R2").utilization == 0.0
 
     def test_hottest(self, rig):
         sim, net = rig
-        sampler = LinkUtilizationSampler(net)
+        probe = probe_of(net)
         blast(sim, net, 30)
-        sampler.sample()
-        key, sample = sampler.hottest()
+        probe(net.sim.now)
+        key, sample = probe.hottest()
         assert key == frozenset(("R1", "R2"))
         assert sample.utilization > 0
 
     def test_hottest_requires_samples(self, rig):
         _, net = rig
         with pytest.raises(TopologyError):
-            LinkUtilizationSampler(net).hottest()
+            probe_of(net).hottest()
 
     def test_unknown_link(self, rig):
         _, net = rig
-        sampler = LinkUtilizationSampler(net)
+        probe = probe_of(net)
         with pytest.raises(TopologyError):
-            sampler.latest("R1", "R9")
+            probe.latest("R1", "R9")
         with pytest.raises(TopologyError):
-            sampler.history("R1", "R9")
+            probe.history("R1", "R9")
 
     def test_history_bounded(self, rig):
         sim, net = rig
-        sampler = LinkUtilizationSampler(net)
+        probe = probe_of(net)
         for _ in range(300):
-            sampler.sample()
-        assert len(sampler.history("R1", "R2")) == 256
+            probe(net.sim.now)
+        assert len(probe.history("R1", "R2")) == 256

@@ -175,3 +175,64 @@ class TestOrchestratedRepair:
         assert len(clients["h8"].matched) == 1
         assert verify_controller(middleware.controllers[0]).ok
         assert orchestrator.down_edges() == []
+
+
+class TestReportedFailuresShareTheOrchestrator:
+    """``fail_link``/``fail_switch`` run a pass of the same orchestrator
+    the detector feeds, so the detector's later verdict on an already
+    repaired failure is not repaired a second time."""
+
+    def confirm_by_detection(self, middleware, detector):
+        middleware.run(until=0.05)
+        detector.stop()
+        middleware.run()
+
+    def test_fail_link_is_repaired_once(self):
+        middleware, _ = deploy(paper_fat_tree(), subscribers=["h8"])
+        detector, orchestrator = middleware.enable_resilience()
+        controller = middleware.controllers[0]
+        tree = next(iter(controller.trees))
+        child, parent = next(iter(tree.parents.items()))
+        middleware.fail_link(child, parent)
+        self.confirm_by_detection(middleware, detector)
+        assert any(e.kind == "port-down" for e in detector.events)
+        kinds = [s.kind for s in controller.request_log]
+        assert kinds.count("link_failure") == 1
+        assert "repair" not in kinds
+        (record,) = orchestrator.records
+        assert record.trigger_kind == "link_failure"
+        assert record.flow_mods > 0 and record.trees_rebuilt == 1
+        assert record.verifier_ok
+
+    def test_fail_switch_is_repaired_once(self):
+        middleware, clients = deploy(paper_fat_tree(), subscribers=["h8"])
+        detector, orchestrator = middleware.enable_resilience()
+        controller = middleware.controllers[0]
+        middleware.fail_switch("R1")
+        self.confirm_by_detection(middleware, detector)
+        assert any(e.kind == "switch-down" for e in detector.events)
+        kinds = [s.kind for s in controller.request_log]
+        assert kinds.count("switch_failure") == 1
+        assert "repair" not in kinds
+        assert all(r.flow_mods > 0 for r in orchestrator.records)
+        middleware.publish("h1", Event.of(attr0=1.0, attr1=1.0))
+        middleware.run()
+        assert len(clients["h8"].matched) == 1
+
+    def test_noop_failure_still_logs_its_request(self):
+        """A link no tree uses changes nothing, but the failure is still
+        one ``link_failure`` request with zero flow mods."""
+        middleware, _ = deploy(paper_fat_tree(), subscribers=["h8"])
+        controller = middleware.controllers[0]
+        tree = next(iter(controller.trees))
+        a, b = next(
+            (spec.a, spec.b)
+            for spec in middleware.topology.links()
+            if middleware.topology.is_switch(spec.a)
+            and middleware.topology.is_switch(spec.b)
+            and not tree.uses_edge(spec.a, spec.b)
+        )
+        logged = len(controller.request_log)
+        middleware.fail_link(a, b)
+        (stats,) = controller.request_log[logged:]
+        assert (stats.kind, stats.flow_mods) == ("link_failure", 0)
