@@ -111,7 +111,7 @@ def duplicate_tree_dz(
         controller.topology, controller.partition, victim.root
     )
     rogue = SpanningTree(
-        root=victim.root, parents=parents, dz_set=victim.dz_set
+        victim.root, parents, victim.dz_set, controller.trees.ids.next("tree")
     )
     controller.trees.trees[rogue.tree_id] = rogue
     return FaultInjection(

@@ -108,8 +108,9 @@ class SingleTreeBrokerOverlay:
     def subscribe(self, host: str, subscription: Subscription) -> int:
         if not self.topology.is_host(host):
             raise TopologyError(f"unknown host {host!r}")
-        self.subscriptions[subscription.sub_id] = (host, subscription)
-        return subscription.sub_id
+        sub_id = subscription.number(self.sim.ids)
+        self.subscriptions[sub_id] = (host, subscription)
+        return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
         self.subscriptions.pop(sub_id, None)

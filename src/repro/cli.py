@@ -350,34 +350,46 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _churn_step(
+    middleware: Pleroma,
+    rng: random.Random,
+    workload,
+    live_subs: list[tuple[str, int]],
+    live_advs: list[tuple[str, int]],
+) -> None:
+    """One seeded churn operation: advertise, subscribe, unsubscribe or
+    unadvertise at a random host, tracking the live request ids."""
+    roll = rng.random()
+    hosts = middleware.topology.hosts()
+    if roll < 0.35 or not live_advs:
+        host = rng.choice(hosts)
+        state = middleware.advertise(
+            host, Advertisement(filter=workload.subscription().filter)
+        )
+        live_advs.append((host, state.adv_id))
+    elif roll < 0.70:
+        host = rng.choice(hosts)
+        state = middleware.subscribe(host, workload.subscription())
+        live_subs.append((host, state.sub_id))
+    elif roll < 0.85 and live_subs:
+        host, sub_id = live_subs.pop(rng.randrange(len(live_subs)))
+        middleware.unsubscribe(host, sub_id)
+    else:
+        host, adv_id = live_advs.pop(rng.randrange(len(live_advs)))
+        middleware.unadvertise(host, adv_id)
+
+
 def _cmd_soak(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     workload = paper_uniform(dimensions=2, seed=args.seed)
     middleware = Pleroma(
         _topology(args.topology), space=workload.space, max_dz_length=12
     )
-    hosts = middleware.topology.hosts()
     live_subs: list[tuple[str, int]] = []
     live_advs: list[tuple[str, int]] = []
     for step in range(args.steps):
-        roll = rng.random()
         try:
-            if roll < 0.35 or not live_advs:
-                host = rng.choice(hosts)
-                state = middleware.advertise(
-                    host, Advertisement(filter=workload.subscription().filter)
-                )
-                live_advs.append((host, state.adv_id))
-            elif roll < 0.70:
-                host = rng.choice(hosts)
-                state = middleware.subscribe(host, workload.subscription())
-                live_subs.append((host, state.sub_id))
-            elif roll < 0.85 and live_subs:
-                host, sub_id = live_subs.pop(rng.randrange(len(live_subs)))
-                middleware.unsubscribe(host, sub_id)
-            elif live_advs:
-                host, adv_id = live_advs.pop(rng.randrange(len(live_advs)))
-                middleware.unadvertise(host, adv_id)
+            _churn_step(middleware, rng, workload, live_subs, live_advs)
             middleware.check_invariants()
         except ReproError as exc:  # pragma: no cover - failure reporting
             print(
@@ -428,28 +440,11 @@ def _check_one_scenario(
         partitions=args.partitions,
         install_mode=mode,
     )
-    hosts = middleware.topology.hosts()
     live_subs: list[tuple[str, int]] = []
     live_advs: list[tuple[str, int]] = []
     reports = []
     for _ in range(args.steps):
-        roll = rng.random()
-        if roll < 0.35 or not live_advs:
-            host = rng.choice(hosts)
-            state = middleware.advertise(
-                host, Advertisement(filter=workload.subscription().filter)
-            )
-            live_advs.append((host, state.adv_id))
-        elif roll < 0.70:
-            host = rng.choice(hosts)
-            state = middleware.subscribe(host, workload.subscription())
-            live_subs.append((host, state.sub_id))
-        elif roll < 0.85 and live_subs:
-            host, sub_id = live_subs.pop(rng.randrange(len(live_subs)))
-            middleware.unsubscribe(host, sub_id)
-        else:
-            host, adv_id = live_advs.pop(rng.randrange(len(live_advs)))
-            middleware.unadvertise(host, adv_id)
+        _churn_step(middleware, rng, workload, live_subs, live_advs)
         reports.extend(verify_deployment(middleware))
     return reports
 

@@ -17,7 +17,6 @@ Two implementations:
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Protocol
 
 from repro.core.addressing import MulticastPrefix
@@ -67,34 +66,33 @@ class _MirroringTable(FlowTable):
     """
 
     def __init__(
-        self,
-        capacity: int,
-        sink: Callable[[str, FlowMod], None],
-        switch_name: str,
+        self, capacity: int, channel: ControlChannel, switch_name: str
     ) -> None:
         super().__init__(capacity=capacity)
-        self._sink = sink
+        self._channel = channel
         self._switch_name = switch_name
+
+    def _send(
+        self,
+        command: FlowModCommand,
+        entry: FlowEntry | None = None,
+        match: MulticastPrefix | None = None,
+    ) -> None:
+        xid = self._channel.sim.ids.next("xid")
+        self._channel.send(
+            self._switch_name, FlowMod(command, entry, match, xid=xid)
+        )
 
     def install(self, entry: FlowEntry) -> None:
         replacing = self.get(entry.match) is not None
         super().install(entry)
-        self._sink(
-            self._switch_name,
-            FlowMod(
-                command=(
-                    FlowModCommand.MODIFY if replacing else FlowModCommand.ADD
-                ),
-                entry=entry,
-            ),
+        self._send(
+            FlowModCommand.MODIFY if replacing else FlowModCommand.ADD, entry
         )
 
     def remove(self, match: MulticastPrefix) -> FlowEntry:
         entry = super().remove(match)
-        self._sink(
-            self._switch_name,
-            FlowMod(command=FlowModCommand.DELETE, match=match),
-        )
+        self._send(FlowModCommand.DELETE, match=match)
         return entry
 
 
@@ -110,7 +108,7 @@ class ChannelApplier:
         shadow = self._shadows.get(switch)
         if shadow is None:
             capacity = self._network.switches[switch].table.capacity
-            shadow = _MirroringTable(capacity, self._channel.send, switch)
+            shadow = _MirroringTable(capacity, self._channel, switch)
             self._shadows[switch] = shadow
         return shadow
 

@@ -216,8 +216,10 @@ class PleromaController:
             shortest_path_tree,
         )
 
+        self.ids = network.sim.ids
         self.trees = TreeManager(
             self.topology,
+            self.ids,
             self.partition,
             merge_threshold=merge_threshold,
             tree_builder=(
@@ -358,9 +360,9 @@ class PleromaController:
                 dz_set = self.indexer.filter_to_dzset(advertisement.filter)
             if adv_id is None:
                 adv_id = (
-                    advertisement.adv_id
+                    advertisement.number(self.ids)
                     if advertisement is not None
-                    else _fresh_id()
+                    else self.ids.next("request")
                 )
             if adv_id in self.advertisements:
                 raise ControllerError(f"advertisement {adv_id} already active")
@@ -407,9 +409,9 @@ class PleromaController:
                 dz_set = self.indexer.filter_to_dzset(subscription.filter)
             if sub_id is None:
                 sub_id = (
-                    subscription.sub_id
+                    subscription.number(self.ids)
                     if subscription is not None
-                    else _fresh_id()
+                    else self.ids.next("request")
                 )
             if sub_id in self.subscriptions:
                 raise ControllerError(f"subscription {sub_id} already active")
@@ -659,6 +661,7 @@ class PleromaController:
                             self._applier.table(switch),
                             dz,
                             {action},
+                            self.ids,
                             registry=self.obs.registry,
                         ),
                     )
@@ -695,7 +698,9 @@ class PleromaController:
                     or current.actions != desired
                     or current.priority != len(dz)
                 ):
-                    self._applier.install(name, FlowEntry.for_dz(dz, desired))
+                    cookie = self.ids.next("cookie")
+                    entry = FlowEntry.for_dz(dz, desired, cookie=cookie)
+                    self._applier.install(name, entry)
                     batch[name] = batch.get(name, 0) + 1
         self._record_batch("patch", batch)
 
@@ -717,7 +722,7 @@ class PleromaController:
         batch: dict[str, int] = {}
         for name in sorted(set(switches)):
             desired = desired_flows(self.ledger.contributions(name))
-            diff = diff_table(self._applier.table(name), desired)
+            diff = diff_table(self._applier.table(name), desired, self.ids)
             if diff.is_empty:
                 continue
             for entry in diff.deletions:
@@ -912,11 +917,3 @@ class PleromaController:
             f"advs={len(self.advertisements)}, subs={len(self.subscriptions)})"
         )
 
-
-_next_id = 1_000_000
-
-
-def _fresh_id() -> int:
-    global _next_id
-    _next_id += 1
-    return _next_id

@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.core.dz import Dz
 from repro.network.flow import Action, FlowEntry, FlowTable
 from repro.obs.registry import MetricsRegistry
+from repro.sim.engine import IdAllocator
 
 __all__ = ["flow_addition"]
 
@@ -43,16 +44,18 @@ def flow_addition(
     table: FlowTable,
     dz: Dz,
     actions: frozenset[Action] | set[Action],
+    ids: IdAllocator,
     registry: MetricsRegistry | None = None,
 ) -> int:
     """Install a flow for ``dz``/``actions`` into ``table``.
 
     Returns the number of flow-mod messages (adds + modifies + deletes)
-    the operation cost.  When a ``registry`` is given, per-case hit
+    the operation cost.  The new entry's cookie is the next of ``ids``'
+    ``cookie`` sequence.  When a ``registry`` is given, per-case hit
     counters (``flow_installer.case_hits{case=1..5}``) record which of the
     paper's five situations the workload actually exercises.
     """
-    fl_new = FlowEntry.for_dz(dz, frozenset(actions))
+    fl_new = FlowEntry.for_dz(dz, actions, cookie=ids.next("cookie"))
     current = table.entries()
 
     # Case 2: an existing flow fully covers the new one — no action needed.

@@ -30,6 +30,7 @@ from collections.abc import Mapping
 
 from repro.core.dz import Dz
 from repro.network.flow import Action, FlowEntry, FlowTable
+from repro.sim.engine import IdAllocator
 
 __all__ = ["desired_flows", "FlowDiff", "diff_table", "apply_diff"]
 
@@ -78,9 +79,10 @@ class FlowDiff:
 
 
 def diff_table(
-    table: FlowTable, desired: Mapping[Dz, frozenset[Action]]
+    table: FlowTable, desired: Mapping[Dz, frozenset[Action]], ids: IdAllocator
 ) -> FlowDiff:
-    """Compute the flow mods taking ``table`` to the desired state."""
+    """Compute the flow mods taking ``table`` to the desired state; each
+    addition takes the next of ``ids``' ``cookie`` sequence."""
     additions: list[FlowEntry] = []
     modifications: list[FlowEntry] = []
     deletions: list[FlowEntry] = []
@@ -94,7 +96,8 @@ def diff_table(
                 entry.with_actions(want).with_priority(len(entry.dz))
             )
     for dz, actions in desired_remaining.items():
-        additions.append(FlowEntry.for_dz(dz, actions))
+        cookie = ids.next("cookie")
+        additions.append(FlowEntry.for_dz(dz, actions, cookie=cookie))
     return FlowDiff(
         additions=tuple(additions),
         modifications=tuple(modifications),

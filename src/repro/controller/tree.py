@@ -14,7 +14,6 @@ attachment switches.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.core.dzset import DzSet, EMPTY
@@ -22,8 +21,6 @@ from repro.controller.state import Endpoint
 from repro.exceptions import ControllerError
 
 __all__ = ["SpanningTree", "TreeMember"]
-
-_tree_ids = itertools.count(1)
 
 
 @dataclass
@@ -47,7 +44,7 @@ class SpanningTree:
     root: str
     parents: dict[str, str]
     dz_set: DzSet
-    tree_id: int = field(default_factory=lambda: next(_tree_ids))
+    tree_id: int = 0  # TreeManager numbers trees; a hand-built one keeps 0
     publishers: dict[int, TreeMember] = field(default_factory=dict)
     subscribers: dict[int, TreeMember] = field(default_factory=dict)
 

@@ -21,16 +21,19 @@ from repro.controller.tree import SpanningTree
 from repro.controller.tree_builders import TreeBuilder, shortest_path_tree
 from repro.exceptions import ControllerError
 from repro.network.topology import Topology
+from repro.sim.engine import IdAllocator
 
 __all__ = ["TreeManager"]
 
 
 class TreeManager:
-    """Creates, finds, merges and retires spanning trees for one partition."""
+    """Creates, finds, merges and retires spanning trees for one partition,
+    numbering them from the ``tree`` sequence of the deployment's ``ids``."""
 
     def __init__(
         self,
         topology: Topology,
+        ids: IdAllocator,
         partition: Iterable[str] | None = None,
         merge_threshold: int = 16,
         tree_builder: TreeBuilder = shortest_path_tree,
@@ -39,6 +42,7 @@ class TreeManager:
             raise ControllerError("merge threshold must be >= 1")
         self.tree_builder = tree_builder
         self.topology = topology
+        self.ids = ids
         self.partition = (
             set(partition) if partition is not None else set(topology.switches())
         )
@@ -97,7 +101,7 @@ class TreeManager:
                     f"new DZ {dz_set} overlaps tree {t.tree_id} ({t.dz_set})"
                 )
         parents = self.tree_builder(self.topology, self.partition, root)
-        tree = SpanningTree(root=root, parents=parents, dz_set=dz_set)
+        tree = SpanningTree(root, parents, dz_set, self.ids.next("tree"))
         self.trees[tree.tree_id] = tree
         self.trees_created += 1
         return tree
@@ -165,7 +169,9 @@ class TreeManager:
         del self.trees[t1.tree_id]
         del self.trees[t2.tree_id]
         parents = self.tree_builder(self.topology, self.partition, survivor_root)
-        merged = SpanningTree(root=survivor_root, parents=parents, dz_set=dz_set)
+        merged = SpanningTree(
+            survivor_root, parents, dz_set, self.ids.next("tree")
+        )
         for source in (t1, t2):
             for adv_id, member in source.publishers.items():
                 merged.join_publisher(adv_id, member.endpoint, member.overlap)

@@ -9,7 +9,8 @@ core object, plus bytes helpers.
 Every codec is a pair ``encode_x`` / ``decode_x`` with
 ``decode_x(encode_x(v)) == v`` (property-tested).  Identities
 (``sub_id``/``adv_id``/``event_id``) round-trip, so a decoded object is
-the *same* logical entity.
+the *same* logical entity; a request not yet numbered round-trips as
+``null`` and is numbered where it is admitted.
 """
 
 from __future__ import annotations

@@ -10,16 +10,17 @@ set ``{110, 100}`` — that conversion lives in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Mapping
+from typing import TYPE_CHECKING
 
 from repro.core.events import Event, EventSpace
 from repro.exceptions import SchemaError
 
-__all__ = ["RangePredicate", "Filter", "Subscription", "Advertisement"]
+if TYPE_CHECKING:
+    from repro.sim.engine import IdAllocator
 
-_id_counter = itertools.count(1)
+__all__ = ["RangePredicate", "Filter", "Subscription", "Advertisement"]
 
 
 @dataclass(frozen=True)
@@ -160,14 +161,25 @@ class Filter:
 
 @dataclass(frozen=True)
 class Subscription:
-    """A consumer's interest: a filter plus a stable identity."""
+    """A consumer's interest: a filter plus an identity, None until the
+    subscription is admitted and numbered (:meth:`number`)."""
 
     filter: Filter
-    sub_id: int = field(default_factory=lambda: next(_id_counter))
+    sub_id: int | None = None
 
     @classmethod
     def of(cls, **ranges: tuple[float, float]) -> "Subscription":
         return cls(filter=Filter.of(**ranges))
+
+    def number(self, ids: "IdAllocator") -> int:
+        """The id, first taking the next of ``ids``' ``request`` sequence
+        if there is none.  It is written into this object, the client's
+        handle for unsubscribing."""
+        sub_id = self.sub_id
+        if sub_id is None:
+            sub_id = ids.next("request")
+            object.__setattr__(self, "sub_id", sub_id)
+        return sub_id
 
     def matches(self, event: Event) -> bool:
         # inlines Filter.matches: this is the per-delivery classification
@@ -187,14 +199,23 @@ class Subscription:
 
 @dataclass(frozen=True)
 class Advertisement:
-    """A producer's declared publication region: a filter plus identity."""
+    """A producer's declared publication region: a filter plus identity,
+    numbered on admission as a :class:`Subscription` is."""
 
     filter: Filter
-    adv_id: int = field(default_factory=lambda: next(_id_counter))
+    adv_id: int | None = None
 
     @classmethod
     def of(cls, **ranges: tuple[float, float]) -> "Advertisement":
         return cls(filter=Filter.of(**ranges))
+
+    def number(self, ids: "IdAllocator") -> int:
+        """The id, numbered as :meth:`Subscription.number`."""
+        adv_id = self.adv_id
+        if adv_id is None:
+            adv_id = ids.next("request")
+            object.__setattr__(self, "adv_id", adv_id)
+        return adv_id
 
     def covers(self, event: Event) -> bool:
         return self.filter.matches(event)

@@ -538,6 +538,7 @@ class Federation:
                 dst_address=PUBSUB_CONTROL_ADDRESS,
                 payload=message,
                 size_bytes=_CONTROL_MESSAGE_BYTES,
+                packet_id=self.network.sim.ids.next("packet"),
             ),
         )
 

@@ -210,6 +210,7 @@ class Pleroma:
                 dst_address=dz_to_address(dz),
                 payload=payload,
                 size_bytes=event_packet_size(dz),
+                packet_id=self.sim.ids.next("packet"),
             )
         )
         self.metrics.on_publish(self.sim.now)

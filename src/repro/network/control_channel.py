@@ -169,7 +169,11 @@ class ControlChannel:
             except FlowTableError as exc:
                 self._reply(
                     connection,
-                    ErrorMessage(failed_xid=message.xid, reason=str(exc)),
+                    ErrorMessage(
+                        failed_xid=message.xid,
+                        reason=str(exc),
+                        xid=self.sim.ids.next("xid"),
+                    ),
                 )
         elif isinstance(message, BarrierRequest):
             self._reply(connection, BarrierReply(xid=message.xid))
@@ -199,6 +203,7 @@ class ControlChannel:
                 ErrorMessage(
                     failed_xid=message.xid,
                     reason=f"unsupported message {type(message).__name__}",
+                    xid=self.sim.ids.next("xid"),
                 ),
             )
 
@@ -282,7 +287,10 @@ class ControlChannel:
         self, connection: _Connection, packet: Packet, in_port: int
     ) -> None:
         message = PacketIn(
-            switch=connection.switch.name, in_port=in_port, packet=packet
+            switch=connection.switch.name,
+            in_port=in_port,
+            packet=packet,
+            xid=self.sim.ids.next("xid"),
         )
         arrival = self._controller_bound(connection, message)
         self.sim.schedule_at(

@@ -19,8 +19,6 @@ from repro.network.link import (
     DEFAULT_LINK_DELAY_S,
     Link,
 )
-from repro.network.flow import reset_cookie_counter
-from repro.network.openflow import reset_xid_counter
 from repro.network.switch import DEFAULT_LOOKUP_DELAY_S, Switch
 from repro.network.topology import Topology
 from repro.obs.registry import MetricsRegistry
@@ -55,12 +53,6 @@ class Network:
         self.sim = sim
         self.topology = topology
         self.params = params or NetworkParams()
-        # Cookie/xid allocation is scoped per fabric: without the reset,
-        # the module-level counters would bleed across Pleroma instances
-        # in one process and every cookie/xid would depend on what ran
-        # earlier (see the reset functions' docstrings).
-        reset_cookie_counter()
-        reset_xid_counter()
         # One registry shared by every device of the fabric; deployments
         # (the Pleroma facade) pass theirs in so the whole system reports
         # into a single snapshot.

@@ -15,8 +15,7 @@ matching semantics.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Iterator
 
 from collections.abc import Callable
@@ -30,30 +29,7 @@ __all__ = [
     "FlowEntry",
     "FlowStats",
     "FlowTable",
-    "reset_cookie_counter",
 ]
-
-_cookie_counter = itertools.count(1)
-
-
-def _next_cookie() -> int:
-    return next(_cookie_counter)
-
-
-def reset_cookie_counter(start: int = 1) -> None:
-    """Restart cookie allocation (called by ``Network.__init__``).
-
-    Cookies only need to be unique *within* one fabric; a process-global
-    counter would make them depend on whatever other deployments ran
-    earlier in the process, leaking state across ``Pleroma`` instances.
-    Each :class:`~repro.network.fabric.Network` resets the counter so
-    same-seed deployments allocate identical cookies regardless of what
-    ran before them.  (Entries of two fabrics built concurrently can
-    therefore share cookie values — no consumer compares cookies across
-    fabrics.)
-    """
-    global _cookie_counter
-    _cookie_counter = itertools.count(start)
 
 
 @dataclass(frozen=True, order=True)
@@ -80,7 +56,7 @@ class FlowEntry:
     match: MulticastPrefix
     priority: int
     actions: frozenset[Action]
-    cookie: int = field(default_factory=_next_cookie)
+    cookie: int = 0  # minted by the controller; a hand-built entry keeps 0
 
     @classmethod
     def for_dz(
@@ -88,6 +64,7 @@ class FlowEntry:
         dz: Dz,
         actions: frozenset[Action] | set[Action],
         priority: int | None = None,
+        cookie: int = 0,
     ) -> "FlowEntry":
         """Build an entry matching subspace ``dz``.
 
@@ -98,6 +75,7 @@ class FlowEntry:
             match=dz_to_prefix(dz),
             priority=len(dz) if priority is None else priority,
             actions=frozenset(actions),
+            cookie=cookie,
         )
 
     @property

@@ -10,7 +10,6 @@ ingest queue; arrivals beyond capacity are dropped and counted.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from typing import TYPE_CHECKING
 
@@ -31,8 +30,6 @@ HOST_ADDRESS_BASE = 0x2001 << 112
 #: Default per-host event processing capacity; the paper's commodity end
 #: hosts saturate around 70k events/s (Fig. 7c plateaus below the send rate).
 DEFAULT_HOST_RATE_EPS = 70_000.0
-
-_host_ids = itertools.count(1)
 
 DeliveryCallback = Callable[[EventPayload, Packet, float], None]
 
@@ -55,12 +52,11 @@ class Host:
             raise TopologyError("host queue capacity must be >= 1")
         self.sim = sim
         self.name = name
-        # The fabric assigns deterministic per-topology addresses so that
-        # repeated runs are bit-identical; standalone hosts fall back to a
-        # process-global counter.
+        # The fabric assigns per-topology addresses; a standalone host
+        # takes the next of its simulator's ``host`` sequence.
         self.address = (
             address if address is not None
-            else HOST_ADDRESS_BASE + next(_host_ids)
+            else HOST_ADDRESS_BASE + sim.ids.next("host")
         )
         self.processing_rate_eps = processing_rate_eps
         self.queue_capacity = queue_capacity

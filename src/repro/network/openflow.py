@@ -15,7 +15,6 @@ Messages are plain immutable values; the transport lives in
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 
 
@@ -45,27 +44,7 @@ __all__ = [
     "TableStatsRequest",
     "TableStatsReply",
     "message_size",
-    "reset_xid_counter",
 ]
-
-_xids = itertools.count(1)
-
-
-def _next_xid() -> int:
-    return next(_xids)
-
-
-def reset_xid_counter(start: int = 1) -> None:
-    """Restart transaction-id allocation (called by ``Network.__init__``).
-
-    Xids pair requests with replies *within* one control channel; a
-    process-global counter would leak state across ``Pleroma`` instances
-    (the xid sequence of a run would depend on what ran earlier in the
-    process).  Every fabric resets the counter so same-seed deployments
-    emit identical xids regardless of prior activity.
-    """
-    global _xids
-    _xids = itertools.count(start)
 
 
 class FlowModCommand(enum.Enum):
@@ -78,9 +57,10 @@ class FlowModCommand(enum.Enum):
 
 @dataclass(frozen=True)
 class OpenFlowMessage:
-    """Base class: every message carries a transaction id."""
+    """Base class: every message carries a transaction id, minted by its
+    sender from ``sim.ids`` or echoed by a reply (hand-built: 0)."""
 
-    xid: int = field(default_factory=_next_xid, kw_only=True)
+    xid: int = field(default=0, kw_only=True)
 
 
 @dataclass(frozen=True)

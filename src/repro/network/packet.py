@@ -8,16 +8,13 @@ address encoding the event's dz-expression.  Control messages addressed to
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.dz import Dz
 from repro.core.events import Event
 
 __all__ = ["Packet", "EventPayload", "event_packet_size"]
-
-_packet_ids = itertools.count(1)
 
 #: Fixed protocol overhead of an event datagram (headers + event id).
 _EVENT_BASE_SIZE = 48
@@ -50,13 +47,14 @@ class Packet:
     :class:`EventPayload` or an inter-controller message object.  The
     destination address is rewritten by terminal switches (set-field action)
     to the subscriber host address, exactly as in Fig. 3 of the paper.
+    The originator mints ``packet_id`` (a hand-built packet keeps 0).
     """
 
     dst_address: int
     payload: Any
     size_bytes: int = 64
     src_address: int = 0
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = 0
     hops: int = 0
 
     def with_destination(self, dst_address: int) -> "Packet":

@@ -173,11 +173,12 @@ class StatsPoller(PeriodicSampler):
         round_id = self.rounds_started
         self._outstanding[round_id] = 3 * len(self._targets)
         sent_at = self.sim.now
+        ids = self.sim.ids
         for name in self._targets:
             for request in (
-                FlowStatsRequest(),
-                PortStatsRequest(),
-                TableStatsRequest(),
+                FlowStatsRequest(xid=ids.next("xid")),
+                PortStatsRequest(xid=ids.next("xid")),
+                TableStatsRequest(xid=ids.next("xid")),
             ):
                 self._pending[request.xid] = (round_id, name, sent_at)
                 self.channel.send(name, request)

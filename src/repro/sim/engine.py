@@ -7,6 +7,7 @@ monotonically increasing counter, so it is unique: the heap orders by time
 with FIFO tie-breaking among equal times, never compares two events, and
 runs are fully deterministic for a fixed seed.  Cancellation is lazy: a
 cancelled event stays queued and is skipped when it reaches the head.
+The simulator also owns its deployment's ids (:class:`IdAllocator`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,19 @@ from typing import Any
 
 from repro.exceptions import SimulationError
 
-__all__ = ["Simulator", "ScheduledEvent"]
+__all__ = ["Simulator", "ScheduledEvent", "IdAllocator"]
+
+
+class IdAllocator:
+    """Named id sequences, each counting from 1.  One per deployment
+    (``sim.ids``), so no id depends on what else ran in the process."""
+
+    def __init__(self) -> None:
+        self._last: dict[str, int] = {}
+
+    def next(self, name: str) -> int:
+        self._last[name] = value = self._last.get(name, 0) + 1
+        return value
 
 
 class ScheduledEvent:
@@ -54,6 +67,7 @@ class Simulator:
         self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
         self._processed = 0
+        self.ids = IdAllocator()
 
     # ------------------------------------------------------------------
     @property

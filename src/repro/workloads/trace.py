@@ -32,6 +32,7 @@ from repro.core.codec import (
 from repro.core.events import Event
 from repro.core.subscription import Advertisement, Subscription
 from repro.exceptions import WorkloadError
+from repro.sim.engine import IdAllocator
 
 __all__ = ["TraceOp", "Trace", "TraceRecorder", "TraceReplayer"]
 
@@ -132,11 +133,13 @@ class Trace:
 
 
 class TraceRecorder:
-    """Builds a trace while an experiment drives the middleware."""
+    """Builds a trace while an experiment drives the middleware; numbers
+    an unnumbered advertisement or subscription from its own sequence."""
 
     def __init__(self) -> None:
         self._ops: list[TraceOp] = []
         self._last_time = 0.0
+        self._ids = IdAllocator()
 
     def _append(self, op: TraceOp) -> None:
         if op.time < self._last_time:
@@ -147,9 +150,11 @@ class TraceRecorder:
         self._ops.append(op)
 
     def advertise(self, time: float, host: str, adv: Advertisement) -> None:
+        adv.number(self._ids)
         self._append(TraceOp(time, "advertise", host, adv))
 
     def subscribe(self, time: float, host: str, sub: Subscription) -> None:
+        sub.number(self._ids)
         self._append(TraceOp(time, "subscribe", host, sub))
 
     def unsubscribe(self, time: float, host: str, sub_id: int) -> None:

@@ -29,6 +29,15 @@ class TestSingleTreeBroker:
         b.publish("h1", Event.of(attr0=900))
         assert b.deliveries == []
 
+    def test_numbers_unnumbered_subscriptions(self):
+        b = overlay()
+        first, second = Subscription.of(attr0=(0, 500)), Subscription.of()
+        assert b.subscribe("h4", first) == 1
+        assert b.subscribe("h3", second) == 2
+        assert (first.sub_id, second.sub_id) == (1, 2)
+        b.unsubscribe(first.sub_id)
+        assert sorted(b.subscriptions) == [2]
+
     def test_no_self_delivery(self):
         b = overlay()
         b.subscribe("h1", Subscription.of(attr0=(0, 1023)))

@@ -94,8 +94,8 @@ class TestChannelApplier:
         applier = ChannelApplier(net, channel)
         from repro.controller.flow_installer import flow_addition
 
-        flow_addition(applier.table("R1"), Dz("100"), {Action(2)})
-        flow_addition(applier.table("R1"), Dz("10"), {Action(3)})
+        flow_addition(applier.table("R1"), Dz("100"), {Action(2)}, sim.ids)
+        flow_addition(applier.table("R1"), Dz("10"), {Action(3)}, sim.ids)
         sim.run()
         physical = net.switches["R1"].table
         shadow = applier.table("R1")

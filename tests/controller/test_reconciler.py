@@ -7,6 +7,7 @@ from repro.controller.reconciler import (
 )
 from repro.core.dz import Dz
 from repro.network.flow import Action, FlowEntry, FlowTable
+from repro.sim.engine import IdAllocator
 
 
 class TestDesiredFlows:
@@ -76,42 +77,44 @@ class TestDesiredFlows:
 
 class TestDiffAndApply:
     def test_add_from_empty(self):
-        table = FlowTable()
-        diff = diff_table(table, {Dz("10"): frozenset({Action(2)})})
+        table, ids = FlowTable(), IdAllocator()
+        diff = diff_table(table, {Dz("10"): frozenset({Action(2)})}, ids)
         assert len(diff.additions) == 1
         assert diff.total_mods == 1
         apply_diff(table, diff)
         assert table.get_dz(Dz("10")).actions == {Action(2)}
 
     def test_noop_when_converged(self):
-        table = FlowTable()
+        table, ids = FlowTable(), IdAllocator()
         desired = {Dz("10"): frozenset({Action(2)})}
-        apply_diff(table, diff_table(table, desired))
-        diff = diff_table(table, desired)
+        apply_diff(table, diff_table(table, desired, ids))
+        diff = diff_table(table, desired, ids)
         assert diff.is_empty
 
     def test_modification(self):
-        table = FlowTable()
+        table, ids = FlowTable(), IdAllocator()
         table.install(FlowEntry.for_dz(Dz("10"), {Action(2)}))
-        diff = diff_table(table, {Dz("10"): frozenset({Action(2), Action(3)})})
+        diff = diff_table(
+            table, {Dz("10"): frozenset({Action(2), Action(3)})}, ids
+        )
         assert len(diff.modifications) == 1
         assert not diff.additions and not diff.deletions
         apply_diff(table, diff)
         assert table.get_dz(Dz("10")).actions == {Action(2), Action(3)}
 
     def test_deletion(self):
-        table = FlowTable()
+        table, ids = FlowTable(), IdAllocator()
         table.install(FlowEntry.for_dz(Dz("10"), {Action(2)}))
-        diff = diff_table(table, {})
+        diff = diff_table(table, {}, ids)
         assert len(diff.deletions) == 1
         apply_diff(table, diff)
         assert len(table) == 0
 
     def test_downgrade_is_one_add_one_delete(self):
         """Sec. 3.3.3: downgrading a flow from dz=10 back to dz=100."""
-        table = FlowTable()
+        table, ids = FlowTable(), IdAllocator()
         table.install(FlowEntry.for_dz(Dz("10"), {Action(2)}))
-        diff = diff_table(table, {Dz("100"): frozenset({Action(2)})})
+        diff = diff_table(table, {Dz("100"): frozenset({Action(2)})}, ids)
         assert len(diff.additions) == 1
         assert len(diff.deletions) == 1
         apply_diff(table, diff)
@@ -119,9 +122,9 @@ class TestDiffAndApply:
         assert table.get_dz(Dz("10")) is None
 
     def test_priority_repaired(self):
-        table = FlowTable()
+        table, ids = FlowTable(), IdAllocator()
         table.install(FlowEntry.for_dz(Dz("10"), {Action(2)}, priority=99))
-        diff = diff_table(table, {Dz("10"): frozenset({Action(2)})})
+        diff = diff_table(table, {Dz("10"): frozenset({Action(2)})}, ids)
         assert len(diff.modifications) == 1
         apply_diff(table, diff)
         assert table.get_dz(Dz("10")).priority == 2

@@ -8,11 +8,12 @@ from repro.core.dz import Dz
 from repro.core.dzset import DzSet
 from repro.exceptions import ControllerError
 from repro.network.topology import line, paper_fat_tree, ring
+from repro.sim.engine import IdAllocator
 
 
 @pytest.fixture
 def manager():
-    return TreeManager(paper_fat_tree(), merge_threshold=4)
+    return TreeManager(paper_fat_tree(), IdAllocator(), merge_threshold=4)
 
 
 class TestCreation:
@@ -37,17 +38,17 @@ class TestCreation:
 
     def test_partition_restricted_tree(self):
         topo = ring(6, hosts_per_switch=0)
-        manager = TreeManager(topo, partition={"R1", "R2", "R3"})
+        manager = TreeManager(topo, IdAllocator(), partition={"R1", "R2", "R3"})
         tree = manager.create_tree("R1", DzSet.of("1"))
         assert tree.switches == {"R1", "R2", "R3"}
 
     def test_invalid_partition(self):
         with pytest.raises(ControllerError):
-            TreeManager(line(2), partition={"R1", "bogus"})
+            TreeManager(line(2), IdAllocator(), partition={"R1", "bogus"})
 
     def test_invalid_threshold(self):
         with pytest.raises(ControllerError):
-            TreeManager(line(2), merge_threshold=0)
+            TreeManager(line(2), IdAllocator(), merge_threshold=0)
 
 
 class TestLookup:
@@ -120,7 +121,9 @@ class TestMerging:
         assert merged.root == "R8"
 
     def test_merges_needed_threshold(self):
-        manager = TreeManager(paper_fat_tree(), merge_threshold=2)
+        manager = TreeManager(
+            paper_fat_tree(), IdAllocator(), merge_threshold=2
+        )
         manager.create_tree("R7", DzSet.of("00"))
         manager.create_tree("R8", DzSet.of("01"))
         assert not manager.merges_needed()

@@ -43,6 +43,16 @@ class TestRoundTrips:
         assert decoded == sub
         assert decoded.sub_id == sub.sub_id
 
+    def test_unnumbered_request_round_trips_as_null(self):
+        sub = Subscription.of(a=(1, 2))
+        payload = encode_subscription(sub)
+        assert payload["id"] is None
+        assert decode_subscription(payload).sub_id is None
+        adv = decode_advertisement(encode_advertisement(Advertisement.of()))
+        assert adv.adv_id is None
+        numbered = Subscription(filter=Filter.of(a=(1, 2)), sub_id=7)
+        assert decode_subscription(encode_subscription(numbered)).sub_id == 7
+
     def test_advertisement_keeps_identity(self):
         adv = Advertisement.of(a=(1, 2))
         decoded = decode_advertisement(encode_advertisement(adv))

@@ -10,6 +10,7 @@ from repro.core.subscription import (
     Subscription,
 )
 from repro.exceptions import SchemaError
+from repro.sim.engine import IdAllocator
 
 
 class TestRangePredicate:
@@ -79,8 +80,33 @@ class TestFilter:
 
 class TestIdentities:
     def test_subscription_ids_unique(self):
-        s1, s2 = Subscription.of(a=(0, 1)), Subscription.of(a=(0, 1))
-        assert s1.sub_id != s2.sub_id
+        """Requests are unnumbered until admitted; admission numbers them
+        uniquely within one deployment and identically across two
+        same-seed deployments."""
+        from repro.middleware.pleroma import Pleroma
+        from repro.network.topology import line
+
+        def deploy() -> list[int | None]:
+            middleware = Pleroma(line(2), dimensions=1, max_dz_length=4)
+            adv = Advertisement.of(attr0=(0, 1023))
+            s1, s2 = Subscription.of(attr0=(0, 9)), Subscription.of(attr0=(0, 9))
+            assert (adv.adv_id, s1.sub_id, s2.sub_id) == (None, None, None)
+            middleware.advertise("h1", adv)
+            middleware.subscribe("h2", s1)
+            middleware.subscribe("h2", s2)
+            return [adv.adv_id, s1.sub_id, s2.sub_id]
+
+        ids = deploy()
+        assert ids == [1, 2, 3]
+        assert deploy() == ids
+
+    def test_number_keeps_a_client_chosen_id(self):
+        ids = IdAllocator()
+        assert Subscription.of(a=(0, 1)).number(ids) == 1
+        assert Advertisement.of(a=(0, 1)).number(ids) == 2
+        chosen = Subscription(filter=Filter.of(a=(0, 1)), sub_id=42)
+        assert chosen.number(ids) == 42
+        assert ids.next("request") == 3
 
     def test_subscription_matches(self):
         assert Subscription.of(a=(0, 10)).matches(Event.of(a=5))

@@ -176,3 +176,27 @@ class TestCrossInstanceDeterminism:
             return json.dumps(document, sort_keys=True)
 
         assert deploy() == deploy()
+
+    def test_live_fabric_keeps_unique_ids_after_another_is_built(self):
+        """Building a second deployment must not restart the xids and
+        cookies of a first one that is still live."""
+        first = Pleroma(line(3), dimensions=1, max_dz_length=8)
+        poller, _ = first.enable_telemetry(period_s=0.01)
+        first.publisher("h1").advertise(Filter.of())
+        first.subscriber("h3").subscribe(Filter.of(attr0=(0, 300)))
+        poller.poll_now()
+        first.run()
+
+        Pleroma(line(3), dimensions=1, max_dz_length=8)
+
+        first.subscriber("h2").subscribe(Filter.of(attr0=(600, 900)))
+        poller.poll_now()
+        first.run()
+        xids = [reply.xid for reply in poller.channel.replies]
+        cookies = [
+            entry.cookie
+            for switch in first.network.switches.values()
+            for entry in switch.table
+        ]
+        assert len(set(xids)) == len(xids)
+        assert len(set(cookies)) == len(cookies)

@@ -1,4 +1,4 @@
-"""Per-rule hardware counters (FlowStats) and cookie-counter scoping."""
+"""Per-rule hardware counters (FlowStats) and per-deployment cookies."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.network.flow import (
     FlowEntry,
     FlowStats,
     FlowTable,
-    reset_cookie_counter,
 )
 
 
@@ -143,12 +142,31 @@ class TestSwitchCounting:
 
 
 class TestCookieScoping:
-    def test_reset_restarts_allocation(self):
-        reset_cookie_counter()
-        first = entry("1", 1).cookie
-        entry("0", 1)  # burn a cookie
-        reset_cookie_counter()
-        assert entry("1", 1).cookie == first
+    def test_cookies_unique_per_deployment(self):
+        """Controller-installed cookies are unique within one deployment
+        and identical across two same-seed deployments; a hand-built
+        entry keeps cookie 0."""
+        from repro.core.subscription import Advertisement, Subscription
+        from repro.middleware.pleroma import Pleroma
+        from repro.network.topology import line
+
+        def deploy() -> list[int]:
+            middleware = Pleroma(line(3), dimensions=1, max_dz_length=6)
+            middleware.advertise("h1", Advertisement.of(attr0=(0, 1023)))
+            for host, band in (("h2", (0, 300)), ("h3", (200, 900))):
+                middleware.subscribe(host, Subscription.of(attr0=band))
+            return [
+                e.cookie
+                for switch in middleware.network.switches.values()
+                for e in switch.table
+            ]
+
+        cookies = deploy()
+        assert len(cookies) > 1
+        assert len(set(cookies)) == len(cookies)
+        assert 0 not in cookies
+        assert deploy() == cookies
+        assert entry("1", 1).cookie == 0
 
     def test_two_networks_same_seed_get_identical_cookies(self):
         """Regression for the cross-instance leak: cookie allocation is

@@ -44,9 +44,11 @@ class TestLifecycle:
         assert host.address == 1234
 
     def test_fallback_address_unique(self):
-        a = Host(Simulator(), "a")
-        b = Host(Simulator(), "b")
+        sim = Simulator()
+        a = Host(sim, "a")
+        b = Host(sim, "b")
         assert a.address != b.address
+        assert Host(Simulator(), "c").address == a.address
         assert a.address > HOST_ADDRESS_BASE
 
     def test_unattached_send_rejected(self):

@@ -44,7 +44,29 @@ def add_mod(bits="10", port=1):
 
 class TestMessages:
     def test_xids_unique(self):
-        assert BarrierRequest().xid != BarrierRequest().xid
+        """Channel-originated xids are unique within one deployment and
+        identical across two same-seed deployments; a hand-built message
+        keeps xid 0."""
+
+        def packet_in_xids() -> list[int]:
+            sim = Simulator()
+            net = Network(sim, line(2, hosts_per_switch=1))
+            channel = ControlChannel(sim, latency_s=1e-3)
+            seen: list[int] = []
+            channel.connect(
+                net.switches["R1"], lambda message: seen.append(message.xid)
+            )
+            for _ in range(3):
+                net.hosts["h1"].send(
+                    Packet(dst_address=PUBSUB_CONTROL_ADDRESS, payload=None)
+                )
+            sim.run()
+            return seen
+
+        xids = packet_in_xids()
+        assert xids == [1, 2, 3]
+        assert packet_in_xids() == xids
+        assert BarrierRequest().xid == 0
 
     def test_flow_mod_validation(self):
         with pytest.raises(ValueError):

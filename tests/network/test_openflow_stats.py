@@ -18,7 +18,6 @@ from repro.network.openflow import (
     TableStatsReply,
     TableStatsRequest,
     message_size,
-    reset_xid_counter,
 )
 from repro.network.packet import Packet
 from repro.network.topology import line
@@ -217,12 +216,22 @@ class TestSizeRuleCompleteness:
 
 
 class TestXidScoping:
-    def test_reset_restarts_allocation(self):
-        reset_xid_counter()
-        first = FlowStatsRequest().xid
-        FlowStatsRequest()  # burn one
-        reset_xid_counter()
-        assert FlowStatsRequest().xid == first
+    def test_new_deployment_restarts_allocation(self):
+        """Each simulator numbers its poll requests from xid 1, whatever
+        another deployment issued before."""
+        from repro.middleware.pleroma import Pleroma
+
+        def poll_xids() -> list[int]:
+            middleware = Pleroma(line(2), dimensions=1, max_dz_length=4)
+            poller, _ = middleware.enable_telemetry(period_s=0.01)
+            poller.poll_now()
+            middleware.run()
+            return sorted(reply.xid for reply in poller.channel.replies)
+
+        first = poll_xids()
+        assert first[0] == 1
+        assert len(set(first)) == len(first)
+        assert poll_xids() == first
 
     def test_fabric_construction_resets_xids(self):
         """Regression for the cross-instance leak: building a fresh

@@ -1,7 +1,10 @@
 """Unit tests for packets and event datagram sizing."""
 
 from repro.core.dz import Dz
+from repro.core.events import Event
+from repro.middleware.pleroma import Pleroma
 from repro.network.packet import Packet, event_packet_size
+from repro.network.topology import line
 
 
 class TestEventPacketSize:
@@ -21,9 +24,27 @@ class TestEventPacketSize:
 
 class TestPacket:
     def test_ids_unique(self):
-        assert Packet(dst_address=1, payload=None).packet_id != Packet(
-            dst_address=1, payload=None
-        ).packet_id
+        """Published packets are numbered uniquely within one deployment
+        and identically across two same-seed deployments; a hand-built
+        packet keeps id 0."""
+
+        def published_ids() -> list[int]:
+            middleware = Pleroma(line(2), dimensions=1, max_dz_length=4)
+            host = middleware.network.hosts["h1"]
+            sent: list[int] = []
+            send = host.send
+            host.send = lambda packet: (
+                sent.append(packet.packet_id), send(packet)
+            )
+            for value in (1.0, 500.0, 900.0):
+                middleware.publish("h1", Event.of(attr0=value))
+            middleware.run()
+            return sent
+
+        ids = published_ids()
+        assert ids == [1, 2, 3]
+        assert published_ids() == ids
+        assert Packet(dst_address=1, payload=None).packet_id == 0
 
     def test_with_destination_preserves_identity(self):
         original = Packet(dst_address=1, payload="x", size_bytes=10)

@@ -180,7 +180,11 @@ class TestDeviceHooks:
         self._install_path(net, dz)
         for _ in range(5):
             net.hosts["h1"].send(
-                Packet(dst_address=dz_to_address(dz), payload=None)
+                Packet(
+                    dst_address=dz_to_address(dz),
+                    payload=None,
+                    packet_id=sim.ids.next("packet"),
+                )
             )
         sim.run()
         assert len(recorder) == 0

@@ -41,7 +41,13 @@ def _install_line_path(net, dz):
 
 
 def _publish(net, host, dz):
-    net.hosts[host].send(Packet(dst_address=dz_to_address(dz), payload=None))
+    net.hosts[host].send(
+        Packet(
+            dst_address=dz_to_address(dz),
+            payload=None,
+            packet_id=net.sim.ids.next("packet"),
+        )
+    )
 
 
 class TestDeliveryReconstruction:

@@ -2,10 +2,10 @@
 
 Two layers of guarantee:
 
-* **in-process** — running the quickstart scenario twice in one
-  interpreter yields identical delivery records and byte-identical
-  observability snapshots (no hidden global state leaks between
-  deployments);
+* **in-process** — running a scenario twice in one interpreter yields
+  identical delivery records, controller state (request, tree and cookie
+  ids included), flight records and byte-identical snapshots and trace
+  exports (no hidden global state leaks between deployments);
 * **cross-process** — two interpreters with *different*
   ``PYTHONHASHSEED`` values produce byte-identical output.  This is the
   regression test for the switch jitter RNG, which was once seeded with
@@ -20,10 +20,12 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.cli import main as cli_main
 from repro.core.events import Event
-from repro.core.subscription import Filter
+from repro.core.subscription import Advertisement, Filter, Subscription
 from repro.middleware.pleroma import Pleroma
 from repro.network.topology import paper_fat_tree
+from repro.obs.paths import analyze_flight, chrome_trace
 
 
 def run_quickstart() -> Pleroma:
@@ -61,6 +63,92 @@ class TestInProcessDeterminism:
         a = json.dumps(first.obs_snapshot(), sort_keys=True)
         b = json.dumps(second.obs_snapshot(), sort_keys=True)
         assert a == b
+
+    def test_back_to_back_deployments_number_alike(self):
+        first, first_recorder = run_traced()
+        second, second_recorder = run_traced()
+        assert controller_state(first) == controller_state(second)
+        assert first_recorder.to_dicts() == second_recorder.to_dicts()
+        assert trace_exports(first, first_recorder) == trace_exports(
+            second, second_recorder
+        )
+
+    def test_cli_trace_twice_in_one_interpreter(self, tmp_path, capsys):
+        def run(tag: str) -> tuple[bytes, bytes]:
+            out = tmp_path / f"trace-{tag}.json"
+            chrome = tmp_path / f"chrome-{tag}.json"
+            cli_main([
+                "trace", "--events", "20", "--seed", "11", "--fail-link",
+                "--out", str(out), "--chrome-out", str(chrome),
+            ])
+            return out.read_bytes(), chrome.read_bytes()
+
+        assert run("a") == run("b")
+        capsys.readouterr()
+
+
+def run_traced() -> tuple[Pleroma, object]:
+    """Two publishers (so several trees), three subscribers, a flight
+    recorder sampling every packet, and a link failure repaired midway."""
+    rng = random.Random(3)
+    middleware = Pleroma(paper_fat_tree(), dimensions=2, max_dz_length=10)
+    recorder = middleware.enable_flight_recorder(sample_every=1, seed=3)
+    middleware.advertise("h1", Advertisement.of(attr0=(0, 511)))
+    middleware.advertise("h3", Advertisement.of(attr0=(512, 1023)))
+    for host, band in (("h4", (0, 600)), ("h6", (300, 1023)), ("h8", (0, 99))):
+        middleware.subscribe(host, Subscription.of(attr0=band))
+    middleware.sim.schedule(0.012, middleware.fail_link, "R3", "R7")
+    for i in range(30):
+        value = rng.uniform(0, 1023)
+        middleware.sim.schedule(
+            i * 1e-3,
+            middleware.publish,
+            "h1" if value < 512 else "h3",
+            Event.of(attr0=value, attr1=rng.uniform(0, 1023)),
+        )
+    middleware.run()
+    return middleware, recorder
+
+
+def controller_state(middleware: Pleroma) -> dict:
+    controller = middleware.controllers[0]
+    return {
+        "advertisements": sorted(controller.advertisements),
+        "subscriptions": sorted(controller.subscriptions),
+        "trees": sorted(
+            (
+                tree.tree_id,
+                tree.root,
+                str(tree.dz_set),
+                sorted(tree.publishers),
+                sorted(tree.subscribers),
+            )
+            for tree in controller.trees
+        ),
+        "ledger": controller.ledger.keys_for(),
+        "tables": {
+            name: sorted(
+                (
+                    entry.match.prefix_len,
+                    entry.match.network,
+                    entry.priority,
+                    entry.cookie,
+                    entry.sorted_actions(),
+                )
+                for entry in switch.table
+            )
+            for name, switch in sorted(middleware.network.switches.items())
+        },
+    }
+
+
+def trace_exports(middleware: Pleroma, recorder) -> tuple[str, str]:
+    report = analyze_flight(recorder, middleware.topology)
+    document = {"report": report.to_dict(), "records": recorder.to_dicts()}
+    return (
+        json.dumps(document, sort_keys=True),
+        json.dumps(chrome_trace(recorder), sort_keys=True),
+    )
 
 
 _SCRIPT = """
@@ -120,8 +208,8 @@ class TestHashSeedInvariance:
 
 
 class TestFlightTraceDeterminism:
-    """Same-seed ``trace`` runs export byte-identical documents — packet
-    ids are process-global, so this must compare fresh interpreters."""
+    """Same-seed ``trace`` runs in two interpreters with different hash
+    salts export byte-identical documents."""
 
     def test_trace_exports_byte_identical(self, tmp_path):
         src_dir = str(Path(repro.__file__).resolve().parents[1])

@@ -15,6 +15,7 @@ from repro.controller.reconciler import apply_diff, desired_flows, diff_table
 from repro.core.addressing import dz_to_address
 from repro.core.dz import Dz
 from repro.network.flow import Action, FlowTable
+from repro.sim.engine import IdAllocator
 
 bits = st.text(alphabet="01", min_size=0, max_size=6)
 actions = st.builds(
@@ -38,9 +39,9 @@ def forwarding_behaviour(table: FlowTable) -> dict[str, frozenset[Action]]:
 
 
 def build_incremental(sequence) -> FlowTable:
-    table = FlowTable()
+    table, ids = FlowTable(), IdAllocator()
     for dz_bits, action in sequence:
-        flow_addition(table, Dz(dz_bits), {action})
+        flow_addition(table, Dz(dz_bits), {action}, ids)
     return table
 
 
@@ -48,11 +49,11 @@ def build_reconciled(sequence) -> FlowTable:
     contributions: dict[Dz, set[Action]] = {}
     for dz_bits, action in sequence:
         contributions.setdefault(Dz(dz_bits), set()).add(action)
-    table = FlowTable()
+    table, ids = FlowTable(), IdAllocator()
     desired = desired_flows(
         {dz: frozenset(acts) for dz, acts in contributions.items()}
     )
-    apply_diff(table, diff_table(table, desired))
+    apply_diff(table, diff_table(table, desired, ids))
     return table
 
 

@@ -13,9 +13,8 @@ verbatim apart from being lifted out of the class.
 Two twin deployments get the same drawn clients; one takes the old path,
 the other the new, and the per-switch flow tables, tree roots and
 parents, ``total_flow_mods``, client counts and the request log's
-``(kind, flow_mods)`` must all agree.  Subscription, advertisement and
-tree ids come from process-wide counters, so the twins' ids differ and
-trees are compared by position, never by id.
+``(kind, flow_mods)`` must all agree.  Each twin numbers requests and
+trees from its own simulator, so trees are compared with their ids.
 """
 
 from __future__ import annotations
@@ -206,12 +205,12 @@ def switch_edges(middleware: Pleroma) -> list[tuple[str, str]]:
     )
 
 
-def trees_by_position(controller: PleromaController) -> list[SpanningTree]:
+def trees_by_id(controller: PleromaController) -> list[SpanningTree]:
     return sorted(controller.trees, key=lambda t: t.tree_id)
 
 
 def observe(middleware: Pleroma) -> dict:
-    """Everything the twins must agree on, free of process-global ids."""
+    """Everything the twins must agree on."""
     controller = middleware.controllers[0]
     return {
         "tables": {
@@ -231,13 +230,14 @@ def observe(middleware: Pleroma) -> dict:
         },
         "trees": [
             (
+                tree.tree_id,
                 tree.root,
                 sorted(tree.parents.items()),
                 str(tree.dz_set),
                 sorted(m.endpoint.name for m in tree.publishers.values()),
                 sorted(m.endpoint.name for m in tree.subscribers.values()),
             )
-            for tree in trees_by_position(controller)
+            for tree in trees_by_id(controller)
         ],
         "partition": sorted(controller.partition),
         "total_flow_mods": controller.total_flow_mods,
@@ -301,18 +301,15 @@ class TestRerouteMatchesOracle:
     def test_reroute(self, topology_name, clients, tree_index, edge_index):
         new = deploy(topology_name, clients)
         old = deploy(topology_name, clients)
-        new_trees = trees_by_position(new.controllers[0])
-        old_trees = trees_by_position(old.controllers[0])
-        if not new_trees:
+        trees = trees_by_id(new.controllers[0])
+        if not trees:
             return  # no advertisement drawn: nothing to reroute
-        position = tree_index % len(new_trees)
+        tree_id = trees[tree_index % len(trees)].tree_id
         edges = switch_edges(new)
         a, b = edges[edge_index % len(edges)]
-        outcome = new.controllers[0].reroute_tree_around_edge(
-            new_trees[position].tree_id, a, b
-        )
+        outcome = new.controllers[0].reroute_tree_around_edge(tree_id, a, b)
         expected = ref_reroute_tree_around_edge(
-            old.controllers[0], old_trees[position].tree_id, a, b
+            old.controllers[0], tree_id, a, b
         )
         assert outcome is expected
         assert observe(new) == observe(old)

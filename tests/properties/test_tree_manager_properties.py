@@ -7,6 +7,7 @@ from repro.core.dzset import DzSet
 from repro.controller.tree_manager import TreeManager
 from repro.exceptions import ControllerError
 from repro.network.topology import paper_fat_tree
+from repro.sim.engine import IdAllocator
 
 bits = st.text(alphabet="01", min_size=1, max_size=6)
 ops = st.lists(
@@ -28,7 +29,7 @@ def test_dz_disjointness_is_invariant(operations):
     """Whatever the sequence of creates/retires/merges, tree DZ sets stay
     pairwise disjoint and overlap lookups stay consistent."""
     topo = paper_fat_tree()
-    manager = TreeManager(topo, merge_threshold=64)
+    manager = TreeManager(topo, IdAllocator(), merge_threshold=64)
     for kind, dz_bits, selector in operations:
         live = sorted(manager.trees.values(), key=lambda t: t.tree_id)
         if kind == "create":
@@ -65,7 +66,7 @@ def test_dz_disjointness_is_invariant(operations):
 def test_total_coverage_monotone_under_merge(regions):
     """Merging never shrinks the covered region."""
     topo = paper_fat_tree()
-    manager = TreeManager(topo, merge_threshold=64)
+    manager = TreeManager(topo, IdAllocator(), merge_threshold=64)
     created = []
     for i, b in enumerate(regions):
         region = DzSet.of(b)

@@ -61,6 +61,43 @@ class TestRules:
             "env-dependent"
         ]
 
+    def test_module_level_counter_banned(self):
+        assert rules("import itertools\n_ids = itertools.count(1)\n") == [
+            "module-counter"
+        ]
+        assert rules("import itertools as it\n_ids = it.count()\n") == [
+            "module-counter"
+        ]
+        assert rules("from itertools import count\n_ids = count(1)\n") == [
+            "module-counter"
+        ]
+        # a class body runs once per process too
+        assert rules(
+            "import itertools\nclass C:\n    ids = itertools.count()\n"
+        ) == ["module-counter"]
+
+    def test_counter_inside_a_function_allowed(self):
+        source = (
+            "import itertools\n"
+            "class Sim:\n"
+            "    def __init__(self):\n"
+            "        self._seq = itertools.count()\n"
+            "make = lambda: itertools.count()\n"
+        )
+        assert rules(source) == []
+        assert rules("from itertools import chain\nx = chain([1])\n") == []
+
+    def test_global_statement_banned(self):
+        source = (
+            "_next = 0\n"
+            "def fresh():\n"
+            "    global _next\n"
+            "    _next += 1\n"
+            "    return _next\n"
+        )
+        assert rules(source) == ["global-rebind"]
+        assert lint.check_source(source)[0].line == 3
+
     def test_allow_marker_suppresses(self):
         source = "import time\nt = time.time()  # determinism: allow\n"
         assert rules(source) == []
@@ -114,4 +151,26 @@ class TestGuardrail:
     )
     def test_pr1_regression_patterns_stay_banned(self, source):
         """The exact patterns PR 1 removed must never lint clean again."""
+        assert rules(source) != []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            # a default-factory id sequence shared by every deployment
+            "import itertools\n"
+            "from dataclasses import dataclass, field\n"
+            "_packet_ids = itertools.count(1)\n"
+            "@dataclass\n"
+            "class Packet:\n"
+            "    packet_id: int = field(\n"
+            "        default_factory=lambda: next(_packet_ids))\n",
+            # a reset hook rebinding the sequence
+            "import itertools\n"
+            "def reset_xid_counter(start=1):\n"
+            "    global _xids\n"
+            "    _xids = itertools.count(start)\n",
+        ],
+    )
+    def test_process_global_id_patterns_stay_banned(self, source):
+        """The id sequences replaced by the per-deployment allocator."""
         assert rules(source) != []

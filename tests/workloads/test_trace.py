@@ -31,6 +31,19 @@ class TestTraceModel:
         with pytest.raises(WorkloadError):
             TraceOp(-1.0, "publish", "h1", Event.of(a=1))
 
+    def test_recorder_numbers_unnumbered_requests(self):
+        recorder = TraceRecorder()
+        adv = Advertisement.of(attr0=(0, 1023))
+        sub = Subscription.of(attr0=(0, 511))
+        chosen = Subscription(filter=sub.filter, sub_id=40)
+        recorder.advertise(0.0, "h1", adv)
+        recorder.subscribe(0.1, "h3", sub)
+        recorder.subscribe(0.2, "h2", chosen)
+        assert (adv.adv_id, sub.sub_id, chosen.sub_id) == (1, 2, 40)
+        ops = Trace.loads(recorder.trace().dumps()).ops
+        assert [op.payload.adv_id for op in ops[:1]] == [1]
+        assert [op.payload.sub_id for op in ops[1:]] == [2, 40]
+
     def test_time_ordering_enforced(self):
         recorder = TraceRecorder()
         recorder.publish(1.0, "h1", Event.of(a=1))

@@ -23,6 +23,14 @@ walks the AST of every file under ``src/repro`` and rejects:
 ``env-dependent``
     ``os.environ`` / ``os.getenv`` reads.  Behaviour must be a function of
     explicit arguments, not of ambient environment.
+``module-counter``
+    An ``itertools.count(...)`` created outside a function body: a
+    sequence shared by every deployment in the process, so an id would
+    depend on what ran before.  Ids come from the deployment's
+    ``sim.ids`` allocator instead.
+``global-rebind``
+    Any ``global`` statement: module-level state rebound at run time
+    leaks between deployments the same way.
 
 ``src/repro/sim/rng.py`` is allowlisted wholesale: it is the one sanctioned
 wrapper around the ``random`` module.  Individual lines elsewhere can be
@@ -76,6 +84,10 @@ class _Visitor(ast.NodeVisitor):
         self.path = path
         self.source_lines = source_lines
         self.violations: list[LintViolation] = []
+        # names bound to the itertools module / to itertools.count
+        self._itertools = {"itertools"}
+        self._count: set[str] = set()
+        self._function_depth = 0
 
     # ------------------------------------------------------------------
     def _allowed(self, node: ast.AST) -> bool:
@@ -91,8 +103,52 @@ class _Visitor(ast.NodeVisitor):
             )
 
     # ------------------------------------------------------------------
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name == "itertools":
+                self._itertools.add(alias.asname or alias.name)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if node.module == "itertools":
+            for alias in node.names:
+                if alias.name == "count":
+                    self._count.add(alias.asname or alias.name)
+
+    def _in_function(self, node: ast.AST) -> None:
+        self._function_depth += 1
+        self.generic_visit(node)
+        self._function_depth -= 1
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_Lambda = _in_function
+
+    def visit_Global(self, node: ast.Global) -> None:
+        self._flag(
+            node,
+            "global-rebind",
+            f"global {', '.join(node.names)} rebinds module state shared "
+            f"by every deployment; keep it on an object the caller owns",
+        )
+
+    def _is_count(self, func: ast.expr) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id in self._count
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr == "count"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self._itertools
+        )
+
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
+        if self._function_depth == 0 and self._is_count(func):
+            self._flag(
+                node,
+                "module-counter",
+                "itertools.count() outside a function is one sequence "
+                "for the whole process; mint ids from the deployment's "
+                "sim.ids allocator",
+            )
         if isinstance(func, ast.Attribute) and isinstance(
             func.value, ast.Name
         ):
