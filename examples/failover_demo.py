@@ -7,7 +7,8 @@ as future work) that this reproduction implements:
 1. **link/switch failure repair** — one repair pass of the controller's
    orchestrator rebuilds the trees routed over a dead link or switch over
    the surviving fabric and re-installs their paths;
-2. **overload reaction** — a link-utilization probe spots a hot link and
+2. **overload reaction** — link utilization, computed from the port
+   counters the in-band statistics poller collects, spots a hot link and
    the controller moves the busiest tree onto an alternative route.
 
 Run:  python examples/failover_demo.py
@@ -21,7 +22,6 @@ from repro import (
     paper_fat_tree,
 )
 from repro.controller.overload import OverloadManager
-from repro.obs.samplers import LinkUtilizationProbe
 
 
 def drive(middleware, publisher, events, interval=1e-3):
@@ -45,11 +45,10 @@ def main() -> None:
     subscriber = middleware.subscriber("h8")
     subscriber.subscribe(Filter.of(attr0=(512, 767)))
 
+    poller, _ = middleware.enable_telemetry()
     manager = OverloadManager(
         controller=middleware.controllers[0],
-        sampler=LinkUtilizationProbe(
-            middleware.network, middleware.network.registry
-        ),
+        poller=poller,
         threshold=0.5,
     )
 
@@ -59,14 +58,12 @@ def main() -> None:
 
     print("phase 2: overload reaction")
     event = manager.check()
-    if event is None:
-        print("  no link above threshold")
-    else:
-        print(
-            f"  hot link {event.edge[0]}<->{event.edge[1]} at "
-            f"{event.utilization:.0%} utilization -> "
-            f"{'rerouted tree ' + str(event.tree_id) if event.rerouted else 'no alternative route'}"
-        )
+    assert event is not None and event.outcome, "overload was not rerouted"
+    print(
+        f"  hot link {event.edge[0]}<->{event.edge[1]} at "
+        f"{event.utilization:.0%} utilization -> rerouted tree "
+        f"{event.tree_id}"
+    )
     before = len(subscriber.matched)
     drive(middleware, publisher, 100)
     print(f"  delivered after reroute: {len(subscriber.matched) - before}/100")

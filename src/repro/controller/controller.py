@@ -79,13 +79,12 @@ InstallMode = Literal["reconcile", "incremental"]
 class RerouteOutcome(enum.Enum):
     """Why :meth:`PleromaController.reroute_tree_around_edge` did (not) act.
 
-    A bare ``False`` used to conflate "this tree never touched the edge"
-    with "the edge is a bridge, there is no spanning structure without it"
-    — but a caller reacting to a *failure* must distinguish them: the
-    first needs nothing, the second needs the degraded-tree fallback
-    (:mod:`repro.resilience.repair`).  Truthiness is preserved so existing
-    boolean callers (:class:`repro.controller.overload.OverloadManager`)
-    keep working unchanged.
+    A bare ``False`` would conflate "this tree never touched the edge"
+    with "the edge is a bridge, there is no spanning structure without
+    it".  The :class:`repro.controller.overload.OverloadManager` records
+    the outcome in its log, so a declined reaction says why.  Only
+    ``REROUTED`` is truthy.  Failure repair does not use the reroute; it
+    plans through :mod:`repro.resilience.repair`.
     """
 
     REROUTED = "rerouted"

@@ -6,17 +6,18 @@ The layer every other component reports into (see ``docs/observability.md``):
   histograms, registered by name + labels;
 * :mod:`repro.obs.trace` — structured spans for control-plane operations
   (requests, flow-mod batches, tree merges, federation exchanges);
-* :mod:`repro.obs.samplers` — periodic link-utilization and TCAM-occupancy
-  probes driven by the simulator clock;
+* :mod:`repro.obs.samplers` — the pausable periodic sim-time task the
+  telemetry poller runs on;
 * :mod:`repro.obs.flight` — the data-plane flight recorder: sampled
   per-packet hop histories (sends, TCAM lookups, link transmissions,
   host arrivals, drops) in a bounded ring buffer;
 * :mod:`repro.obs.paths` — path analytics over flight records: delivery
   trees, per-component delay attribution, drop forensics, path stretch,
   duplicate detection and Chrome trace-event export;
-* :mod:`repro.obs.telemetry` — the in-band :class:`StatsPoller`: the
-  controller-side view reconstructed purely from OpenFlow statistics
-  replies (no oracle reads), with heavy-hitter / churn / loss analytics;
+* :mod:`repro.obs.telemetry` — the in-band :class:`StatsPoller`, the one
+  path for observing the data plane: the controller-side view
+  reconstructed purely from OpenFlow statistics replies (no oracle
+  reads), with heavy-hitter / churn / loss analytics;
 * :mod:`repro.obs.alerts` — declarative threshold alerting with
   fire/clear hysteresis over the polled series;
 * :mod:`repro.obs.export` — JSON/CSV/Prometheus exporters and the
@@ -59,7 +60,6 @@ from repro.obs.registry import (
     Histogram,
     MetricsRegistry,
     DELAY_BUCKETS_S,
-    OCCUPANCY_BUCKETS,
 )
 from repro.obs.trace import Span, Tracer
 
@@ -76,7 +76,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DELAY_BUCKETS_S",
-    "OCCUPANCY_BUCKETS",
     "Span",
     "Tracer",
     "FlightRecorder",

@@ -22,7 +22,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "DELAY_BUCKETS_S",
-    "OCCUPANCY_BUCKETS",
 ]
 
 #: Fixed bucket edges (seconds) for end-to-end and control-plane delays:
@@ -31,12 +30,6 @@ DELAY_BUCKETS_S: tuple[float, ...] = (
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
     1e-2, 2.5e-2, 5e-2, 1e-1, 2.5e-1, 5e-1, 1.0,
 )
-
-#: Fixed bucket edges for occupancy/utilization fractions.
-OCCUPANCY_BUCKETS: tuple[float, ...] = (
-    0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 1.0,
-)
-
 
 class Counter:
     """A monotonically increasing count."""

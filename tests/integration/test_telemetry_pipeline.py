@@ -80,6 +80,17 @@ class TestEnableTelemetry:
         assert engine.evaluate in poller.round_listeners
         assert poller.running
 
+    def test_publish_rearms_paused_poller(self):
+        middleware = Pleroma(paper_fat_tree(), dimensions=2)
+        poller, _ = middleware.enable_telemetry()
+        middleware.run()
+        assert not poller.running  # a quiet period paused it
+        rounds = poller.rounds_completed
+        middleware.publish("h1", Event.of(attr0=1.0, attr1=1.0))
+        assert poller.running
+        middleware.run()
+        assert poller.rounds_completed > rounds
+
     def test_double_enable_rejected(self):
         from repro.exceptions import ControllerError
 

@@ -29,11 +29,11 @@ from repro.obs.paths import analyze_flight, chrome_trace
 
 
 def run_quickstart() -> Pleroma:
-    """The README quickstart, plus sampling: one publisher, one
+    """The README quickstart, plus in-band telemetry: one publisher, one
     subscriber, a burst of events through the paper's fat-tree."""
     rng = random.Random(7)
     middleware = Pleroma(paper_fat_tree(), dimensions=2, max_dz_length=12)
-    middleware.enable_sampling(period_s=2e-3)
+    middleware.enable_telemetry(period_s=2e-3)
     publisher = middleware.publisher("h1")
     publisher.advertise(Filter.of())
     subscriber = middleware.subscriber("h8")
@@ -170,7 +170,7 @@ for name in ("R1", "edge-3", "core/0"):
 
 rng = random.Random(7)
 middleware = Pleroma(paper_fat_tree(), dimensions=2, max_dz_length=12)
-middleware.enable_sampling(period_s=2e-3)
+middleware.enable_telemetry(period_s=2e-3)
 middleware.publisher("h1").advertise(Filter.of())
 middleware.subscriber("h8").subscribe(Filter.of(attr0=(0, 511)))
 for i in range(20):
