@@ -32,6 +32,7 @@ states produce byte-identical violation lists.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -166,18 +167,19 @@ def check_shadowing(controller: "PleromaController") -> list[Violation]:
     entry with higher priority makes the finer entry unreachable — with
     the controller's ``priority == |dz|`` rule this never happens, which
     makes the check a detector for corrupted priorities.
+
+    Only an entry's strictly coarser prefixes can shadow it, at most one
+    per prefix length, so each entry probes its ancestors in the table's
+    per-length buckets.  The witness is the longest ancestor with higher
+    priority: the first one :meth:`~repro.network.flow.FlowTable.entries`
+    lists.
     """
     violations: list[Violation] = []
     for name in sorted(controller.partition):
-        entries = controller.installed_table(name).entries()
-        for shadowed in entries:
-            for shadowing in entries:
-                if shadowing.match == shadowed.match:
-                    continue
-                if (
-                    shadowing.match.covers(shadowed.match)
-                    and shadowing.priority > shadowed.priority
-                ):
+        table = controller.installed_table(name)
+        for shadowed in table.entries():
+            for shadowing in table.coarser_entries(shadowed.match):
+                if shadowing.priority > shadowed.priority:
                     violations.append(
                         Violation(
                             kind="shadowed_rule",
@@ -325,15 +327,17 @@ def _semantic_drift(
     desired: dict[Dz, frozenset],
 ) -> Iterator[Violation]:
     probes = {entry.dz for entry in table.entries()} | set(desired)
+    desired_by_bits = {d.bits: actions for d, actions in desired.items()}
     for dz in sorted(probes, key=lambda d: (len(d), d.bits)):
-        entry = table.lookup(dz_to_address(dz))
+        entry = table.best_match(dz_to_address(dz))
         executed = entry.actions if entry is not None else frozenset()
-        covering = [d for d in desired if d.covers(dz)]
-        if covering:
-            best = max(covering, key=len)
-            wanted = desired[best]
-        else:
-            wanted = frozenset()
+        # the finest desired dz covering dz: its longest prefix in desired
+        wanted = frozenset()
+        for i in range(len(dz.bits), -1, -1):
+            covering = desired_by_bits.get(dz.bits[:i])
+            if covering is not None:
+                wanted = covering
+                break
         if executed != wanted:
             yield Violation(
                 kind="drift",
@@ -500,6 +504,8 @@ def check_forwarding(controller: "PleromaController") -> list[Violation]:
     # into: every dz installed in some table, plus every dz a ledger path
     # was keyed at (entries for those may be redundancy-absorbed into
     # coarser flows, but events in them must still be routed correctly).
+    # Sorted by bits, the candidates inside a dz form one contiguous run,
+    # ``[dz.bits, dz.bits + "2")``, which two bisections find.
     candidates = sorted(
         {
             entry.dz
@@ -507,19 +513,25 @@ def check_forwarding(controller: "PleromaController") -> list[Violation]:
             for entry in controller.installed_table(name).entries()
         }
         | {key.dz for key in controller.ledger.keys_for()},
-        key=lambda d: (len(d), d.bits),
+        key=lambda d: d.bits,
     )
+    candidate_bits = [d.bits for d in candidates]
+    subs = controller.subscriptions
     for tree in _sorted_trees(controller):
         for adv_id in sorted(tree.publishers):
             pub = tree.publishers[adv_id]
             probes: set[Dz] = set()
             for dz in pub.overlap:
                 probes.add(dz)
-                probes.update(
-                    finer
-                    for finer in candidates
-                    if dz.covers(finer) and finer != dz
-                )
+                lo = bisect_left(candidate_bits, dz.bits)
+                hi = bisect_left(candidate_bits, dz.bits + "2", lo)
+                probes.update(candidates[lo:hi])
+            # the region each subscriber wants from this publisher
+            wanted = {
+                sub_id: pub.overlap.intersect(subs[sub_id].dz_set)
+                for sub_id in sorted(subs)
+                if subs[sub_id].endpoint.name != pub.endpoint.name
+            }
             for probe in sorted(probes, key=lambda d: (len(d), d.bits)):
                 trace = _disseminate(
                     controller, port_maps, pub.endpoint, probe
@@ -592,7 +604,7 @@ def check_forwarding(controller: "PleromaController") -> list[Violation]:
                     )
                 violations.extend(
                     _check_deliveries(
-                        controller, tree, adv_id, pub.endpoint, probe, trace
+                        controller, tree, adv_id, wanted, probe, trace
                     )
                 )
     return violations
@@ -602,22 +614,20 @@ def _check_deliveries(
     controller: "PleromaController",
     tree,
     adv_id: int,
-    pub_endpoint: "Endpoint",
+    wanted: dict[int, DzSet],
     probe: Dz,
     trace: _Trace,
 ) -> Iterator[Violation]:
+    """``wanted`` maps each subscription (in id order, the publisher's own
+    endpoint excluded) to the region it must receive from the publisher."""
     subs = controller.subscriptions
     delivered_hosts = {host for host, _ in trace.deliveries}
     exits = set(trace.border_exits)
     # every matching subscriber must be reached
-    for sub_id in sorted(subs):
-        sub_state = subs[sub_id]
-        ep = sub_state.endpoint
-        if ep.name == pub_endpoint.name:
+    for sub_id, region in wanted.items():
+        if not region.covers_dz(probe):
             continue
-        wanted = tree.publishers[adv_id].overlap.intersect(sub_state.dz_set)
-        if not wanted.covers_dz(probe):
-            continue
+        ep = subs[sub_id].endpoint
         reached = (
             (ep.switch, ep.port) in exits
             if ep.is_virtual
@@ -731,7 +741,7 @@ def _disseminate(
     queue: deque[tuple[str, int]] = deque([(start, origin.port)])
     while queue:
         switch, in_port = queue.popleft()
-        entry = controller.installed_table(switch).lookup(address)
+        entry = controller.installed_table(switch).best_match(address)
         if entry is None:
             trace.drops.append(switch)
             continue

@@ -11,10 +11,18 @@ per-kind ``analysis.verify.violations`` counters in the controller's
 metrics registry and emits one trace event per run, so churn workloads can
 correlate violations with the request that introduced them.
 
-The verifier never mutates the state it inspects and raises nothing on
-violations — callers decide whether a dirty report is fatal
+The verifier never mutates the state it inspects, the data plane's
+counters included: it replays tables through
+:meth:`~repro.network.flow.FlowTable.best_match`, which leaves the
+``lookups``/``misses`` the telemetry poller reports alone.  It raises
+nothing on violations — callers decide whether a dirty report is fatal
 (:class:`VerificationError` is provided for that, and is what the
 controller's ``verify_after_each_request`` debug hook raises).
+
+It runs after every repair, so the table checks are near-linear in the
+installed state: shadowing, drift and forwarding walk dz prefixes
+(ancestor probes, bisected candidate runs) instead of comparing every
+pair of entries, contributions or candidates.
 """
 
 from __future__ import annotations

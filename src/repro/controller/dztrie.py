@@ -154,7 +154,8 @@ class DzTrie:
         while stack:
             bits, node = stack.pop()
             if node.counts:
-                yield Dz(bits), frozenset(node.counts)
+                # trie paths are binary by construction
+                yield Dz.trusted(bits), frozenset(node.counts)
             stack.extend(
                 (bits + bit, child) for bit, child in node.children.items()
             )

@@ -40,20 +40,24 @@ def desired_flows(
 ) -> dict[Dz, frozenset[Action]]:
     """The minimal flow set realising the given contributions.
 
-    Returns ``{dz: cumulative action set}`` for every needed dz.
+    Returns ``{dz: cumulative action set}`` for every needed dz, in the
+    iteration order of ``contributions``.  The coarser contributions of a
+    dz are its prefixes, so each dz walks its ``|dz|`` ancestors in a
+    dict keyed by bits: ``O(C·L)`` for ``C`` contributions of length at
+    most ``L``.
     """
+    by_bits = {dz.bits: actions for dz, actions in contributions.items()}
     desired: dict[Dz, frozenset[Action]] = {}
     for dz, actions in contributions.items():
-        cumulative = set(actions)
+        bits = dz.bits
         parent_cumulative: set[Action] = set()
         has_coarser = False
-        for other_dz, other_actions in contributions.items():
-            if other_dz == dz:
-                continue
-            if other_dz.covers(dz):
-                cumulative |= other_actions
-                parent_cumulative |= other_actions
+        for i in range(len(bits)):
+            coarser = by_bits.get(bits[:i])
+            if coarser is not None:
+                parent_cumulative |= coarser
                 has_coarser = True
+        cumulative = parent_cumulative | actions
         if has_coarser and cumulative == parent_cumulative:
             continue  # fully implied by coarser flows — redundant
         desired[dz] = frozenset(cumulative)

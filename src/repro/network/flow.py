@@ -80,8 +80,12 @@ class FlowEntry:
 
     @property
     def dz(self) -> Dz:
-        """The subspace this entry filters for."""
-        return prefix_to_dz(self.match)
+        """The subspace this entry filters for, cached per entry."""
+        cached = self.__dict__.get("_dz")
+        if cached is None:
+            cached = prefix_to_dz(self.match)
+            object.__setattr__(self, "_dz", cached)
+        return cached
 
     @property
     def out_ports(self) -> frozenset[int]:
@@ -270,8 +274,20 @@ class FlowTable:
 
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> FlowEntry | None:
-        """TCAM match: the single best entry for a destination address."""
+        """TCAM match: the single best entry for a destination address,
+        counted in ``lookups``/``misses`` as a packet hitting the table."""
         self.lookups += 1
+        best = self.best_match(address)
+        if best is None:
+            self.misses += 1
+        return best
+
+    def best_match(self, address: int) -> FlowEntry | None:
+        """The entry :meth:`lookup` would return, without counting it.
+
+        For readers that replay the table without a packet (the static
+        verifier): the hardware counters stay what the data plane made them.
+        """
         best: FlowEntry | None = None
         best_key = (-1, -1)
         masks = _MASKS
@@ -281,9 +297,16 @@ class FlowTable:
                 key = (entry.priority, plen)
                 if key > best_key:
                     best, best_key = entry, key
-        if best is None:
-            self.misses += 1
         return best
+
+    def coarser_entries(self, match: MulticastPrefix) -> Iterator[FlowEntry]:
+        """The installed entries whose prefix strictly covers ``match``,
+        longest prefix first (the order :meth:`entries` lists them in)."""
+        for plen in sorted(self._by_len, reverse=True):
+            if plen < match.prefix_len:
+                entry = self._by_len[plen].get(match.network & _MASKS[plen])
+                if entry is not None:
+                    yield entry
 
     def matching_entries(self, address: int) -> list[FlowEntry]:
         """All entries whose prefix matches (most specific first)."""

@@ -81,6 +81,32 @@ class TestDeployment:
         assert runs == 1
 
 
+class TestReadOnly:
+    @pytest.mark.parametrize("install_mode", ["reconcile", "incremental"])
+    def test_verifier_leaves_tcam_counters_alone(self, install_mode):
+        """The verifier replays tables without a packet, so the lookup and
+        miss counters the telemetry poller reports must not move."""
+        middleware = Pleroma(
+            paper_fat_tree(), dimensions=2, install_mode=install_mode
+        )
+        hosts = sorted(middleware.topology.hosts())
+        middleware.advertise(hosts[0], Advertisement.of(d0=(0.0, 1.0)))
+        for index, host in enumerate(hosts[1:]):
+            low = (index % 4) / 5
+            middleware.subscribe(host, Subscription.of(d0=(low, low + 0.3)))
+        switches = middleware.network.switches
+        before = {
+            name: (sw.table.lookups, sw.table.misses)
+            for name, sw in switches.items()
+        }
+        assert verify_controller(middleware.controllers[0]).ok
+        after = {
+            name: (sw.table.lookups, sw.table.misses)
+            for name, sw in switches.items()
+        }
+        assert after == before
+
+
 class TestFaultInjection:
     """The acceptance gate: every seeded fault class must be detected as
     (at least) its declared violation kind."""

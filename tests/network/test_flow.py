@@ -145,6 +145,24 @@ class TestLookup:
         assert table.misses == 1
         assert table.lookups == 1
 
+    def test_best_match_is_lookup_without_counting(self):
+        table = FlowTable()
+        table.install(entry("1", 2))
+        table.install(entry("10", 3))
+        table.install(entry("101", 4, priority=1))
+        for bits in ("10110", "0", "11", "100"):
+            address = dz_to_address(Dz(bits))
+            assert table.best_match(address) == table.lookup(address)
+        assert (table.lookups, table.misses) == (4, 1)
+
+    def test_coarser_entries_longest_first(self):
+        table = FlowTable()
+        for bits in ("", "1", "10", "101", "1011", "11"):
+            table.install(entry(bits, 1))
+        coarser = table.coarser_entries(dz_to_prefix(Dz("1011")))
+        assert [e.dz for e in coarser] == [Dz("101"), Dz("10"), Dz("1"), Dz("")]
+        assert list(table.coarser_entries(dz_to_prefix(Dz("")))) == []
+
     def test_root_flow_matches_everything_in_range(self):
         table = FlowTable()
         table.install(entry("", 1))
