@@ -534,11 +534,8 @@ class Federation:
         switch = self.network.switches[border.switch]
         switch.send_via_port(
             border.port,
-            Packet(
-                dst_address=PUBSUB_CONTROL_ADDRESS,
-                payload=message,
-                size_bytes=_CONTROL_MESSAGE_BYTES,
-                packet_id=self.network.sim.ids.next("packet"),
+            self.network.packet(
+                PUBSUB_CONTROL_ADDRESS, message, _CONTROL_MESSAGE_BYTES
             ),
         )
 

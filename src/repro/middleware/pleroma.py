@@ -206,11 +206,8 @@ class Pleroma:
         dz = self.indexer.event_to_dz(event)
         payload = EventPayload(event, dz, host, self.sim.now)
         self.network.hosts[host].send(
-            Packet(
-                dst_address=dz_to_address(dz),
-                payload=payload,
-                size_bytes=event_packet_size(dz),
-                packet_id=self.sim.ids.next("packet"),
+            self.network.packet(
+                dz_to_address(dz), payload, event_packet_size(dz)
             )
         )
         self.metrics.on_publish(self.sim.now)
@@ -526,10 +523,12 @@ class Pleroma:
     ):
         """Record per-packet hop histories on the data plane.
 
-        Off by default (the hooks cost one ``is not None`` test per
-        packet when detached).  ``sample_every=N`` records 1 in N packets
-        with a decision drawn from a seeded RNG, so identical-seed runs
-        sample identically.  See :mod:`repro.obs.flight`.
+        Off by default.  ``sample_every=N`` records 1 in N packets: the
+        decision is drawn from a seeded RNG once per packet, when the
+        network mints it, and stamped on the packet, so identical-seed
+        runs sample identically and an unsampled packet costs each hop
+        one ``is not None`` test.  Packets minted before this call are
+        never recorded.  See :mod:`repro.obs.flight`.
         """
         return self.obs.enable_flight(
             self.network,

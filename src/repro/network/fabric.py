@@ -11,6 +11,7 @@ tests can reason about them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.exceptions import TopologyError
 from repro.network.host import DEFAULT_HOST_RATE_EPS, Host
@@ -19,10 +20,14 @@ from repro.network.link import (
     DEFAULT_LINK_DELAY_S,
     Link,
 )
+from repro.network.packet import Packet
 from repro.network.switch import DEFAULT_LOOKUP_DELAY_S, Switch
 from repro.network.topology import Topology
 from repro.obs.registry import MetricsRegistry
 from repro.sim.engine import Simulator
+
+if TYPE_CHECKING:
+    from repro.obs.flight import FlightRecorder
 
 __all__ = ["Network", "NetworkParams"]
 
@@ -61,6 +66,9 @@ class Network:
         self.hosts: dict[str, Host] = {}
         self.links: dict[frozenset[str], Link] = {}
         self._ports: dict[tuple[str, str], int] = {}
+        #: The attached data-plane flight recorder (``None``: off).  Read
+        #: only by :meth:`packet`; see :mod:`repro.obs.flight`.
+        self.flight: FlightRecorder | None = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -149,15 +157,20 @@ class Network:
     def total_link_packets(self) -> int:
         return sum(link.total_packets for link in self.links.values())
 
-    def attach_flight_recorder(self, recorder) -> None:
-        """Attach (or with ``None``, detach) a data-plane flight recorder
-        to every device of the fabric.  See :mod:`repro.obs.flight`."""
-        for name in sorted(self.switches):
-            self.switches[name].set_flight_recorder(recorder)
-        for name in sorted(self.hosts):
-            self.hosts[name].set_flight_recorder(recorder)
-        for key in sorted(self.links, key=sorted):
-            self.links[key].set_flight_recorder(recorder)
+    def packet(
+        self, dst_address: int, payload: Any, size_bytes: int
+    ) -> Packet:
+        """Mint a packet: the next ``packet`` id of the deployment, and
+        the sampling decision of the attached flight recorder stamped on
+        it, so every device and copy on its path reads one decision."""
+        flight = self.flight
+        return Packet(
+            dst_address=dst_address,
+            payload=payload,
+            size_bytes=size_bytes,
+            packet_id=self.sim.ids.next("packet"),
+            flight=flight if flight is not None and flight.sample() else None,
+        )
 
     def reset_counters(self) -> None:
         for link in self.links.values():

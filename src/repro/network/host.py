@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 from repro.exceptions import TopologyError
 from repro.network.link import Link
 from repro.network.packet import EventPayload, Packet
-from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -63,8 +62,6 @@ class Host:
         self._link: Link | None = None
         self._busy_until = 0.0
         self._on_deliver: DeliveryCallback | None = None
-        # data-plane flight recorder (attached per deployment; None = off)
-        self._flight: FlightRecorder | None = None
         # statistics (registry-backed)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._arrived = self.registry.counter(
@@ -116,11 +113,6 @@ class Host:
         """Register the application handler invoked per processed event."""
         self._on_deliver = callback
 
-    def set_flight_recorder(self, recorder: FlightRecorder | None) -> None:
-        """Attach (or detach, with ``None``) the data-plane flight
-        recorder."""
-        self._flight = recorder
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
@@ -128,8 +120,8 @@ class Host:
         """Transmit a packet into the network."""
         packet.src_address = self.address
         self._sent.inc()
-        flight = self._flight
-        if flight is not None and flight.wants(packet.packet_id):
+        flight = packet.flight
+        if flight is not None:
             flight.add(
                 packet.packet_id, "host_send", self.name,
                 dst=packet.dst_address, size_bytes=packet.size_bytes,
@@ -142,9 +134,7 @@ class Host:
     def receive(self, packet: Packet, in_port: int) -> None:
         """NIC arrival: enqueue for application processing or drop."""
         self._arrived.inc()
-        flight = self._flight
-        if flight is not None and not flight.wants(packet.packet_id):
-            flight = None
+        flight = packet.flight
         service_time = 1.0 / self.processing_rate_eps
         backlog = max(0.0, self._busy_until - self.sim.now)
         if backlog > self.queue_capacity * service_time:
@@ -166,8 +156,8 @@ class Host:
 
     def _process(self, packet: Packet) -> None:
         self._delivered.inc()
-        flight = self._flight
-        if flight is not None and flight.wants(packet.packet_id):
+        flight = packet.flight
+        if flight is not None:
             flight.add(packet.packet_id, "host_deliver", self.name)
         if self._on_deliver is not None and isinstance(
             packet.payload, EventPayload

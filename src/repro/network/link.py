@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, NamedTuple, Protocol
 
 from repro.exceptions import TopologyError
 from repro.network.packet import Packet
-from repro.obs.flight import FlightRecorder
 from repro.obs.registry import Counter, MetricsRegistry
 
 if TYPE_CHECKING:
@@ -99,7 +98,6 @@ class Link:
         # link carries traffic only when both are up.
         self._admin_up = True
         self._oper_up = True
-        self._flight: FlightRecorder | None = None
         self.registry = registry if registry is not None else MetricsRegistry()
         label = f"{a.name}<->{b.name}"
         self.label = label
@@ -189,11 +187,6 @@ class Link:
             self._dir_ab.busy_until = 0.0
             self._dir_ba.busy_until = 0.0
 
-    def set_flight_recorder(self, recorder: FlightRecorder | None) -> None:
-        """Attach (or detach, with ``None``) the data-plane flight
-        recorder."""
-        self._flight = recorder
-
     @property
     def packets_lost_down(self) -> int:
         """Packets lost to transmissions while the link was down."""
@@ -219,9 +212,7 @@ class Link:
     # ------------------------------------------------------------------
     def transmit(self, sender: NetworkNode, packet: Packet) -> None:
         """Send a packet from ``sender`` to the far end of the link."""
-        flight = self._flight
-        if flight is not None and not flight.wants(packet.packet_id):
-            flight = None
+        flight = packet.flight
         if not self.up:
             self._lost_down.inc()
             if sender is self.a:

@@ -8,11 +8,14 @@ address encoding the event's dz-expression.  Control messages addressed to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.core.dz import Dz
 from repro.core.events import Event
+
+if TYPE_CHECKING:
+    from repro.obs.flight import FlightRecorder
 
 __all__ = ["Packet", "EventPayload", "event_packet_size"]
 
@@ -47,7 +50,11 @@ class Packet:
     :class:`EventPayload` or an inter-controller message object.  The
     destination address is rewritten by terminal switches (set-field action)
     to the subscriber host address, exactly as in Fig. 3 of the paper.
-    The originator mints ``packet_id`` (a hand-built packet keeps 0).
+    :meth:`Network.packet <repro.network.fabric.Network.packet>` mints
+    ``packet_id`` and ``flight``, the flight recorder this packet was
+    sampled for (``None``: not sampled); a hand-built packet keeps id 0
+    and is never recorded.  ``flight`` is out of equality, repr and
+    wire size.
     """
 
     dst_address: int
@@ -56,6 +63,9 @@ class Packet:
     src_address: int = 0
     packet_id: int = 0
     hops: int = 0
+    flight: "FlightRecorder | None" = field(
+        default=None, compare=False, repr=False
+    )
 
     def with_destination(self, dst_address: int) -> "Packet":
         """A copy with a rewritten destination (same packet identity)."""
@@ -66,4 +76,5 @@ class Packet:
             src_address=self.src_address,
             packet_id=self.packet_id,
             hops=self.hops,
+            flight=self.flight,
         )

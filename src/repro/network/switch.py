@@ -30,7 +30,6 @@ from repro.exceptions import TopologyError
 from repro.network.flow import FlowTable
 from repro.network.link import Link
 from repro.network.packet import Packet
-from repro.obs.flight import FlightRecorder
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:
@@ -78,8 +77,6 @@ class Switch:
         # Liveness: a crashed switch loses its (volatile) TCAM contents and
         # silently eats any packet still arriving on its ports.
         self.up = True
-        # data-plane flight recorder (attached per deployment; None = off)
-        self._flight: FlightRecorder | None = None
         # statistics
         self.registry = registry if registry is not None else MetricsRegistry()
         self._received = self.registry.counter(
@@ -190,12 +187,6 @@ class Switch:
         """
         return self._control_handler
 
-    def set_flight_recorder(self, recorder: FlightRecorder | None) -> None:
-        """Attach (or detach, with ``None``) the data-plane flight
-        recorder.  Detached is the default and costs one ``is not None``
-        test per packet."""
-        self._flight = recorder
-
     @property
     def ports(self) -> dict[int, Link]:
         return dict(self._ports)
@@ -214,10 +205,8 @@ class Switch:
     def receive(self, packet: Packet, in_port: int) -> None:
         """Handle an arriving packet: control diversion or TCAM forwarding."""
         self._received.inc()
-        # narrow once: ``flight`` stays None unless this packet is sampled
-        flight = self._flight
-        if flight is not None and not flight.wants(packet.packet_id):
-            flight = None
+        # ``flight`` is None unless this packet was sampled at mint time
+        flight = packet.flight
         if not self.up:
             # A crashed switch eats everything, control traffic included.
             self._dropped_switch_down.inc()

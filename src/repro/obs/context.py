@@ -7,7 +7,7 @@ metrics registry, the tracer, the flight recorder and the in-band
 telemetry poller, and renders the whole lot into a single snapshot
 document.
 
-Live bundles are tracked in a weak set so the benchmark harness
+Live bundles are tracked in a weak map so the benchmark harness
 (``benchmarks/conftest.py``) can export whatever registries a benchmark
 created without plumbing handles through every fixture.
 """
@@ -22,18 +22,19 @@ from repro.obs.trace import Tracer
 
 __all__ = ["Observability", "live_observabilities"]
 
-_live: "weakref.WeakSet[Observability]" = weakref.WeakSet()
+# A weak-keyed dict iterates in insertion order, which is creation order.
+_live: "weakref.WeakKeyDictionary[Observability, None]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def live_observabilities() -> list["Observability"]:
     """Every bundle still alive, in creation order."""
-    return sorted(_live, key=lambda obs: obs._serial)
+    return list(_live)
 
 
 class Observability:
     """Registry + tracer + flight recorder + telemetry for one deployment."""
-
-    _next_serial = 0
 
     def __init__(self, sim, registry: MetricsRegistry | None = None) -> None:
         self.sim = sim
@@ -46,9 +47,7 @@ class Observability:
         # Pleroma.enable_telemetry
         self.telemetry = None
         self.alerts = None
-        Observability._next_serial += 1
-        self._serial = Observability._next_serial
-        _live.add(self)
+        _live[self] = None
 
     # ------------------------------------------------------------------
     # in-band telemetry
@@ -83,8 +82,9 @@ class Observability:
         capacity: int = 65_536,
         seed: int = 0,
     ) -> FlightRecorder:
-        """Attach a data-plane flight recorder to every device of
-        ``network`` (idempotent: re-enabling replaces the recorder)."""
+        """Attach a data-plane flight recorder to ``network``: every
+        packet it mints from now on is sampled by the new recorder
+        (idempotent: re-enabling replaces the recorder)."""
         sim = self.sim
         self.flight = FlightRecorder(
             clock=lambda: sim.now,
@@ -93,13 +93,16 @@ class Observability:
             seed=seed,
         )
         self._flight_network = network
-        network.attach_flight_recorder(self.flight)
+        network.flight = self.flight
         return self.flight
 
     def disable_flight(self) -> None:
-        """Detach the flight recorder (records are discarded)."""
+        """Detach the flight recorder (records are discarded).
+
+        Packets minted from now on are not sampled; a packet already in
+        flight keeps its stamp and records into the discarded recorder."""
         if self._flight_network is not None:
-            self._flight_network.attach_flight_recorder(None)
+            self._flight_network.flight = None
         self.flight = None
         self._flight_network = None
 

@@ -10,17 +10,25 @@ into a bounded ring buffer keyed by ``packet_id``.
 
 Design constraints, in priority order:
 
-* **off by default, near-zero cost when off** — devices hold a
-  ``_flight`` attribute that is ``None`` until a recorder is attached;
-  the hot-path hook is one attribute load and an ``is not None`` test;
-* **deterministic** — the 1-in-N sampling decision is drawn per new
-  ``packet_id`` from a :class:`random.Random` seeded at construction, so
-  two identical-seed runs sample the same packets and serialise to
-  byte-identical trace exports (packet ids are allocated in event order,
-  which the simulator makes deterministic);
+* **off by default, near-zero cost when off** — the sampling decision is
+  made once per packet, when :meth:`Network.packet
+  <repro.network.fabric.Network.packet>` mints it, and stamped on
+  ``Packet.flight`` (this recorder, or ``None``).  Copies made on the
+  path keep the stamp, so every traversal point reads one attribute and
+  an unsampled packet runs the same code whether or not a recorder is
+  attached;
+* **deterministic** — the 1-in-N decision (:meth:`FlightRecorder.sample`)
+  is drawn per minted packet from a :class:`random.Random` seeded at
+  construction, so two identical-seed runs sample the same packets and
+  serialise to byte-identical trace exports (packets are minted in event
+  order, which the simulator makes deterministic);
 * **bounded** — hop records live in a ``deque(maxlen=capacity)``; old
   packets are evicted oldest-first and the eviction count is reported,
   never silently hidden.
+
+A packet minted before a recorder is attached is never recorded.  One
+minted before the recorder is detached keeps its stamp, and records into
+the detached recorder for the rest of its path.
 
 Reconstruction of paths, delay attribution and drop forensics on top of
 these records lives in :mod:`repro.obs.paths`.
@@ -29,7 +37,7 @@ these records lives in :mod:`repro.obs.paths`.
 from __future__ import annotations
 
 import random
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
@@ -96,7 +104,7 @@ class HopRecord:
 class FlightStats:
     """Bookkeeping the recorder maintains alongside the ring buffer."""
 
-    packets_seen: int = 0      # distinct packet ids a sampling decision
+    packets_seen: int = 0      # packets minted while attached (one draw each)
     packets_sampled: int = 0   # ... and how many of them were sampled
     records_appended: int = 0  # total appends (>= len(ring) after eviction)
     records_evicted: int = 0   # appends that pushed an old record out
@@ -114,38 +122,15 @@ class FlightStats:
         }
 
 
-class _SamplingMemo(OrderedDict[int, bool]):
-    """Sampling decisions per packet id; looking up a new id draws one.
-
-    Bounded FIFO: past ``capacity`` ids the oldest decision is evicted.
-    """
-
-    def __init__(self, draw: Callable[[], bool], capacity: int) -> None:
-        super().__init__()
-        self._draw = draw
-        self._capacity = capacity
-
-    def __missing__(self, packet_id: int) -> bool:
-        decision = self._draw()
-        self[packet_id] = decision
-        if len(self) > self._capacity:
-            self.popitem(last=False)
-        return decision
-
-
 class FlightRecorder:
     """Bounded, sampled hop-history store for the simulated data plane.
 
-    Devices call :attr:`wants` with a packet id before computing any
-    record detail, then :meth:`add` for sampled packets.  Analysis code
-    reads :attr:`records` (insertion order equals sim-time order, since
-    the simulator never runs backwards) or :meth:`by_packet`.
+    :meth:`Network.packet <repro.network.fabric.Network.packet>` calls
+    :meth:`sample` once per minted packet, and devices call :meth:`add`
+    for the packets it stamped.  Analysis code reads :attr:`records`
+    (insertion order equals sim-time order, since the simulator never
+    runs backwards) or :meth:`by_packet`.
     """
-
-    #: Decisions memoised per packet id; bounded FIFO so a long run cannot
-    #: grow memory without bound (a re-queried evicted id re-draws, which
-    #: is deterministic for identical runs).
-    DECISION_CAPACITY_FACTOR = 4
 
     def __init__(
         self,
@@ -162,21 +147,14 @@ class FlightRecorder:
         self.sample_every = sample_every
         self.capacity = capacity
         self._rng = random.Random(seed)
-        self._decisions = _SamplingMemo(
-            self._draw, self.DECISION_CAPACITY_FACTOR * capacity
-        )
-        #: ``wants(packet_id)``: should this packet's hops be recorded?
-        #: Memoised 1-in-N.  Bound straight to the memo's C-level
-        #: subscript, so a packet already decided costs no Python frame.
-        self.wants: Callable[[int], bool] = self._decisions.__getitem__
         self.records: deque[HopRecord] = deque(maxlen=capacity)
         self.stats = FlightStats()
 
     # ------------------------------------------------------------------
     # recording (device-facing, hot path)
     # ------------------------------------------------------------------
-    def _draw(self) -> bool:
-        """The sampling decision for a packet id seen for the first time."""
+    def sample(self) -> bool:
+        """The 1-in-N sampling decision for one newly minted packet."""
         self.stats.packets_seen += 1
         if self.sample_every == 1:
             decision = True
@@ -194,7 +172,7 @@ class FlightRecorder:
         drop: str | None = None,
         **detail,
     ) -> None:
-        """Append one hop record (caller already checked :meth:`wants`)."""
+        """Append one hop record for a packet :meth:`sample` chose."""
         if len(self.records) == self.capacity:
             self.stats.records_evicted += 1
         self.stats.records_appended += 1
@@ -234,10 +212,9 @@ class FlightRecorder:
         return grouped
 
     def clear(self) -> None:
-        """Drop all records and decisions; keeps the RNG state (clearing
+        """Drop all records and stats; keeps the RNG state (clearing
         mid-run must not re-align sampling with a fresh run)."""
         self.records.clear()
-        self._decisions.clear()
         self.stats = FlightStats()
 
     def to_dicts(self) -> list[dict]:

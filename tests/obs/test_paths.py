@@ -6,7 +6,6 @@ from repro.core.addressing import dz_to_address
 from repro.core.dz import Dz
 from repro.network.fabric import Network, NetworkParams
 from repro.network.flow import Action, FlowEntry
-from repro.network.packet import Packet
 from repro.network.topology import line, star
 from repro.obs.flight import DROP_REASONS, FlightRecorder
 from repro.obs.paths import (
@@ -24,7 +23,7 @@ def _rig(topology=None, params=None):
     net = Network(sim, topology or line(2, hosts_per_switch=1),
                   params=params)
     recorder = FlightRecorder(clock=lambda: sim.now)
-    net.attach_flight_recorder(recorder)
+    net.flight = recorder
     return sim, net, recorder
 
 
@@ -41,13 +40,7 @@ def _install_line_path(net, dz):
 
 
 def _publish(net, host, dz):
-    net.hosts[host].send(
-        Packet(
-            dst_address=dz_to_address(dz),
-            payload=None,
-            packet_id=net.sim.ids.next("packet"),
-        )
-    )
+    net.hosts[host].send(net.packet(dz_to_address(dz), None, 64))
 
 
 class TestDeliveryReconstruction:

@@ -98,6 +98,30 @@ class TestRules:
         assert rules(source) == ["global-rebind"]
         assert lint.check_source(source)[0].line == 3
 
+    def test_class_counter_banned(self):
+        source = (
+            "class Bundle:\n"
+            "    _next = 0\n"
+            "    def __init__(self):\n"
+            "        Bundle._next += 1\n"
+        )
+        assert rules(source) == ["class-counter"]
+        assert lint.check_source(source)[0].line == 4
+        # at module level too
+        assert rules("class C:\n    n = 0\nC.n += 1\n") == ["class-counter"]
+
+    def test_instance_and_foreign_counters_allowed(self):
+        source = (
+            "from elsewhere import Imported\n"
+            "class Bundle:\n"
+            "    def __init__(self):\n"
+            "        self.count = 0\n"
+            "        self.count += 1\n"
+            "        Imported.total += 1\n"
+            "        Bundle.limit = 3\n"
+        )
+        assert rules(source) == []
+
     def test_allow_marker_suppresses(self):
         source = "import time\nt = time.time()  # determinism: allow\n"
         assert rules(source) == []
@@ -169,6 +193,15 @@ class TestGuardrail:
             "def reset_xid_counter(start=1):\n"
             "    global _xids\n"
             "    _xids = itertools.count(start)\n",
+            # a creation serial kept on the class, shared by every bundle
+            "import weakref\n"
+            "_live = weakref.WeakSet()\n"
+            "class Observability:\n"
+            "    _next_serial = 0\n"
+            "    def __init__(self):\n"
+            "        Observability._next_serial += 1\n"
+            "        self._serial = Observability._next_serial\n"
+            "        _live.add(self)\n",
         ],
     )
     def test_process_global_id_patterns_stay_banned(self, source):

@@ -31,6 +31,11 @@ walks the AST of every file under ``src/repro`` and rejects:
 ``global-rebind``
     Any ``global`` statement: module-level state rebound at run time
     leaks between deployments the same way.
+``class-counter``
+    An augmented assignment to an attribute of a class defined in the
+    same module (``Bundle._next_serial += 1``): a class attribute is one
+    value for the whole process, so a counter kept there numbers every
+    deployment's objects in one sequence.
 
 ``src/repro/sim/rng.py`` is allowlisted wholesale: it is the one sanctioned
 wrapper around the ``random`` module.  Individual lines elsewhere can be
@@ -80,9 +85,13 @@ class LintViolation:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: str, source_lines: list[str]) -> None:
+    def __init__(
+        self, path: str, source_lines: list[str], classes: frozenset[str]
+    ) -> None:
         self.path = path
         self.source_lines = source_lines
+        # names of the classes the module defines (any nesting level)
+        self._classes = classes
         self.violations: list[LintViolation] = []
         # names bound to the itertools module / to itertools.count
         self._itertools = {"itertools"}
@@ -128,6 +137,22 @@ class _Visitor(ast.NodeVisitor):
             f"global {', '.join(node.names)} rebinds module state shared "
             f"by every deployment; keep it on an object the caller owns",
         )
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        target = node.target
+        if (
+            isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id in self._classes
+        ):
+            self._flag(
+                node,
+                "class-counter",
+                f"{target.value.id}.{target.attr} is class state shared by "
+                f"every deployment in the process; keep the count on an "
+                f"object the deployment owns",
+            )
+        self.generic_visit(node)
 
     def _is_count(self, func: ast.expr) -> bool:
         if isinstance(func, ast.Name):
@@ -227,7 +252,10 @@ class _Visitor(ast.NodeVisitor):
 def check_source(source: str, path: str = "<string>") -> list[LintViolation]:
     """Lint one source string; ``path`` is used for reporting only."""
     tree = ast.parse(source, filename=path)
-    visitor = _Visitor(path, source.splitlines())
+    classes = frozenset(
+        node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+    )
+    visitor = _Visitor(path, source.splitlines(), classes)
     visitor.visit(tree)
     return sorted(visitor.violations, key=lambda v: (v.line, v.rule))
 
