@@ -640,20 +640,19 @@ class PleromaController:
         if pub_ep.name == sub_ep.name:
             return  # same host or same border gateway: nothing to route
         route = tree.path_between(pub_ep.switch, sub_ep.switch)
+        hops = [
+            (switch, Action(self.network.port(switch, nxt)))
+            for switch, nxt in zip(route, route[1:])
+        ]
+        hops.append((route[-1], sub_ep.terminal_action()))
         changed: dict[str, set[Dz]] = {}
         for dz in overlap:
             key = PathKey(tree.tree_id, adv.adv_id, sub.sub_id, dz)
             if self.ledger.has_path(key):
                 continue
-            for i, switch in enumerate(route):
-                if i + 1 < len(route):
-                    action = Action(
-                        self.network.port(switch, route[i + 1])
-                    )
-                else:
-                    action = sub_ep.terminal_action()
-                pair_is_new = self.ledger.add(switch, dz, action, key)
-                if self.install_mode == "incremental":
+            new_on = self.ledger.add_route(key, hops)
+            if self.install_mode == "incremental":
+                for switch, action in hops:
                     self._count_mods(
                         switch,
                         flow_addition(
@@ -664,7 +663,8 @@ class PleromaController:
                             registry=self.obs.registry,
                         ),
                     )
-                elif pair_is_new:
+            else:
+                for switch in new_on:
                     changed.setdefault(switch, set()).add(dz)
         if self.install_mode == "reconcile":
             self._patch(changed)
@@ -673,34 +673,40 @@ class PleromaController:
         """Incrementally repair switch tables after contribution changes.
 
         A change at dz can only affect the desired entries of dz itself and
-        its finer descendants (coarser entries never depend on finer
-        contributions), so only that closure is re-evaluated — this is what
-        keeps per-request cost output-sensitive at paper scale.
+        its finer contributed descendants (coarser entries never depend on
+        finer contributions), so only that closure is re-evaluated.  Per
+        switch, :meth:`DzTrie.desired_closure` walks from the root once per
+        outermost changed dz and carries the cumulative action set down its
+        subtree, so the cost follows the trie nodes the change reaches, not
+        closure size x dz length.  Entries are patched in bits order, which
+        fixes the order of the flow-mods and the cookies they mint.
         """
         batch: dict[str, int] = {}
         for name, dzs in changed.items():
             table = self._applier.table(name)
-            trie = self.ledger.trie(name)
-            closure: set[Dz] = set()
-            for dz in dzs:
-                closure.add(dz)
-                closure.update(trie.descendants(dz))
-            for dz in closure:
-                desired = trie.desired_entry(dz)
-                current = table.get_dz(dz)
+            mods = 0
+            for bits, desired in self.ledger.trie(name).desired_closure(
+                {dz.bits for dz in dzs}
+            ):
+                current = table.get_bits(bits)
                 if desired is None:
                     if current is not None:
                         self._applier.remove(name, current.match)
-                        batch[name] = batch.get(name, 0) + 1
+                        mods += 1
                 elif (
                     current is None
                     or current.actions != desired
-                    or current.priority != len(dz)
+                    or current.priority != len(bits)
                 ):
-                    cookie = self.ids.next("cookie")
-                    entry = FlowEntry.for_dz(dz, desired, cookie=cookie)
+                    entry = FlowEntry.for_dz(
+                        Dz.trusted(bits),
+                        desired,
+                        cookie=self.ids.next("cookie"),
+                    )
                     self._applier.install(name, entry)
-                    batch[name] = batch.get(name, 0) + 1
+                    mods += 1
+            if mods:
+                batch[name] = mods
         self._record_batch("patch", batch)
 
     def _withdraw(self, changed: dict[str, set[Dz]]) -> None:

@@ -6,15 +6,21 @@ recomputing it from scratch costs O(C^2) per request.  This trie stores the
 same contributions keyed by dz bits and answers the two queries the
 controller needs in output-sensitive time:
 
-* ``cumulative(dz)`` / ``desired_entry(dz)`` — walk the ancestor path,
-  O(|dz|);
-* ``descendants(dz)`` — walk only the existing subtree.
+* ``desired_entry(dz)`` — walk the ancestor path, O(|dz|);
+* ``desired_closure(changed)`` — the desired entry of every dz a change
+  can move.
 
 When a contribution at ``dz`` changes, the set of dz whose desired entry
-may change is exactly ``{dz} ∪ descendants(dz)`` (coarser entries never
-depend on finer contributions), so the controller patches switch tables by
-re-evaluating only that closure.  A property-based test pins this
-incremental maintenance to the from-scratch reconciler.
+may change is exactly ``dz`` plus its contributed descendants (coarser
+entries never depend on finer contributions), so the controller patches
+switch tables by re-evaluating only that closure.  ``desired_closure``
+walks from the root once per outermost changed dz, accumulating the
+coarser actions, then visits that dz's subtree depth-first carrying the
+cumulative action set down.  A request therefore costs one root path per
+outermost changed dz plus the nodes of its subtree, not one root-to-leaf
+walk per closure member, and no ``Dz`` is built on the way.  Property
+tests pin this incremental maintenance to the from-scratch reconciler and
+to the per-dz walk it replaced.
 
 Action multiplicity is reference-counted: several paths may contribute the
 same ``(dz, action)`` pair, and the pair disappears only when the last
@@ -25,7 +31,7 @@ depending upon other subscribers reachable via a particular switch"
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 
 from repro.core.dz import Dz
 from repro.network.flow import Action
@@ -34,11 +40,14 @@ __all__ = ["DzTrie"]
 
 
 class _Node:
+    """One dz of the trie.  ``counts`` is made on first use and dropped
+    when its last holder leaves: most nodes only lead to finer dz."""
+
     __slots__ = ("children", "counts")
 
     def __init__(self) -> None:
         self.children: dict[str, _Node] = {}
-        self.counts: dict[Action, int] = {}
+        self.counts: dict[Action, int] | None = None
 
 
 class DzTrie:
@@ -51,16 +60,13 @@ class DzTrie:
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------
-    def _walk(self, bits: str, create: bool = False) -> _Node | None:
+    def _walk(self, bits: str) -> _Node | None:
         node = self._root
-        for bit in bits:
-            child = node.children.get(bit)
-            if child is None:
-                if not create:
-                    return None
-                child = _Node()
-                node.children[bit] = child
-            node = child
+        try:
+            for bit in bits:
+                node = node.children[bit]
+        except KeyError:
+            return None
         return node
 
     # ------------------------------------------------------------------
@@ -68,10 +74,18 @@ class DzTrie:
     # ------------------------------------------------------------------
     def add(self, dz: Dz, action: Action) -> bool:
         """Add one holder of ``(dz, action)``; True if the pair is new."""
-        node = self._walk(dz.bits, create=True)
-        assert node is not None
-        node.counts[action] = node.counts.get(action, 0) + 1
-        if node.counts[action] == 1:
+        node = self._root
+        for bit in dz.bits:
+            children = node.children
+            child = children.get(bit)
+            if child is None:
+                child = children[bit] = _Node()
+            node = child
+        counts = node.counts
+        if counts is None:
+            counts = node.counts = {}
+        held = counts[action] = counts.get(action, 0) + 1
+        if held == 1:
             self._size += 1
             return True
         return False
@@ -79,35 +93,23 @@ class DzTrie:
     def remove(self, dz: Dz, action: Action) -> bool:
         """Drop one holder; True if the pair disappeared entirely."""
         node = self._walk(dz.bits)
-        if node is None or action not in node.counts:
+        if node is None or node.counts is None or action not in node.counts:
             return False
-        node.counts[action] -= 1
-        if node.counts[action] == 0:
-            del node.counts[action]
-            self._size -= 1
-            return True
-        return False
+        counts = node.counts
+        held = counts[action] = counts[action] - 1
+        if held:
+            return False
+        del counts[action]
+        if not counts:
+            node.counts = None
+        self._size -= 1
+        return True
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
-
-    def actions_at(self, dz: Dz) -> frozenset[Action]:
-        node = self._walk(dz.bits)
-        return frozenset(node.counts) if node is not None else frozenset()
-
-    def cumulative(self, dz: Dz) -> frozenset[Action]:
-        """Union of actions contributed at ``dz`` or any coarser dz."""
-        actions: set[Action] = set(self._root.counts)
-        node = self._root
-        for bit in dz.bits:
-            node = node.children.get(bit)
-            if node is None:
-                break
-            actions |= node.counts.keys()
-        return frozenset(actions)
 
     def desired_entry(self, dz: Dz) -> frozenset[Action] | None:
         """The desired flow actions at ``dz`` — None if no flow belongs
@@ -118,7 +120,8 @@ class DzTrie:
         parent_cumulative: set[Action] = set()
         node: _Node | None = self._root
         for bit in dz.bits:
-            parent_cumulative |= node.counts.keys()
+            if node.counts:
+                parent_cumulative |= node.counts.keys()
             node = node.children.get(bit)
             if node is None:
                 return None  # dz holds no contributions
@@ -132,21 +135,56 @@ class DzTrie:
             return None
         return frozenset(cumulative)
 
-    def descendants(self, dz: Dz) -> Iterator[Dz]:
-        """All strictly finer dz holding contributions."""
-        start = self._walk(dz.bits)
-        if start is None:
-            return
-        stack = [
-            (dz.bits + bit, child) for bit, child in start.children.items()
-        ]
-        while stack:
-            bits, node = stack.pop()
-            if node.counts:
-                yield Dz(bits)
-            stack.extend(
-                (bits + bit, child) for bit, child in node.children.items()
-            )
+    def desired_closure(
+        self, changed: Collection[str]
+    ) -> Iterator[tuple[str, frozenset[Action] | None]]:
+        """``(bits, desired entry)`` for every dz a change can move.
+
+        ``changed`` holds the bits of the dz whose contributions changed;
+        each was contributed at some point, and the trie never drops a
+        node, so each is reached.  Yields each of them and every finer dz
+        holding contributions, once and in bits order, with the value
+        :meth:`desired_entry` gives.
+        """
+        outer: str | None = None
+        for bits in sorted(changed):
+            if outer is not None and bits.startswith(outer):
+                continue  # already visited in the subtree of ``outer``
+            outer = bits
+            above: frozenset[Action] = frozenset()
+            node: _Node | None = self._root
+            for bit in bits:
+                if node.counts:
+                    above = above.union(node.counts)
+                node = node.children.get(bit)
+                if node is None:
+                    break
+            if node is None:
+                yield bits, None  # no contribution at or below ``bits``
+                continue
+            stack = [(bits, node, above)]
+            while stack:
+                here, node, above = stack.pop()
+                counts = node.counts
+                if not counts:
+                    if here in changed:
+                        yield here, None
+                # A non-empty ``above`` means some strictly coarser dz is
+                # contributed; if it already implies everything here, no
+                # flow is needed (reconciler's redundancy rule).
+                elif above and counts.keys() <= above:
+                    yield here, None
+                else:
+                    above = above.union(counts)
+                    yield here, above
+                children = node.children
+                if children:
+                    child = children.get("1")
+                    if child is not None:
+                        stack.append((here + "1", child, above))
+                    child = children.get("0")
+                    if child is not None:
+                        stack.append((here + "0", child, above))
 
     def items(self) -> Iterator[tuple[Dz, frozenset[Action]]]:
         """All contributed dz with their aggregated action sets."""

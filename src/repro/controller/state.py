@@ -20,7 +20,7 @@ the departing path's contributions and recompute each affected switch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Collection, Iterable, Mapping, Sequence
 
 from repro.controller.dztrie import DzTrie
 from repro.core.dz import Dz
@@ -89,15 +89,43 @@ class FlowLedger:
         Returns True if the pair is new on that switch (the flow table may
         need an update); False if some other path already holds it.
         """
-        trie = self._tries.setdefault(switch, DzTrie())
+        trie = self._tries.get(switch)
+        if trie is None:
+            trie = self._tries[switch] = DzTrie()
         changed = trie.add(dz, action)
+        self._entries(key).append((switch, dz, action))
+        return changed
+
+    def add_route(
+        self, key: PathKey, hops: Sequence[tuple[str, Action]]
+    ) -> list[str]:
+        """Record that ``key``'s path needs ``(key.dz, action)`` on each
+        hop's switch: :meth:`add` for a whole route, with ``key`` looked
+        up once.  Returns the switches on which the pair is new, in route
+        order.
+        """
+        entries = self._entries(key)
+        tries = self._tries
+        dz = key.dz
+        new_on: list[str] = []
+        for switch, action in hops:
+            trie = tries.get(switch)
+            if trie is None:
+                trie = tries[switch] = DzTrie()
+            if trie.add(dz, action):
+                new_on.append(switch)
+            entries.append((switch, dz, action))
+        return new_on
+
+    def _entries(self, key: PathKey) -> list[tuple[str, Dz, Action]]:
+        """``key``'s contribution list, registering a new key in the
+        identity indexes."""
         entries = self._by_key.get(key)
         if entries is None:
             entries = self._by_key[key] = []
             for index, value in self._identity(key):
                 index.setdefault(value, {})[key] = None
-        entries.append((switch, dz, action))
-        return changed
+        return entries
 
     def remove_key(self, key: PathKey) -> dict[str, set[Dz]]:
         """Drop every contribution of one path.

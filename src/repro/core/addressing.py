@@ -18,7 +18,7 @@ coarser installed prefix.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.dz import Dz
 from repro.exceptions import AddressingError
@@ -26,6 +26,7 @@ from repro.exceptions import AddressingError
 __all__ = [
     "MulticastPrefix",
     "dz_to_prefix",
+    "prefix_fields",
     "prefix_to_dz",
     "dz_to_address",
     "address_to_dz",
@@ -48,7 +49,7 @@ MAX_DZ_BITS = 128 - _BASE_MASK_LEN
 PUBSUB_CONTROL_ADDRESS = MULTICAST_BASE | 0xFFFF_FFFF_FFFF_FFFF_FFFF_FFFF_FFFF
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MulticastPrefix:
     """An IPv6 CIDR prefix: 128-bit network address plus mask length.
 
@@ -58,6 +59,10 @@ class MulticastPrefix:
 
     prefix_len: int
     network: int
+    #: The prefix as one int, unique per prefix: a 1 bit followed by the
+    #: ``prefix_len`` network bits.  Tables key per-rule state by it, so a
+    #: hit reaches its counters in one probe.
+    key: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.prefix_len <= 128:
@@ -68,6 +73,11 @@ class MulticastPrefix:
             raise AddressingError(
                 "network address has bits set outside its mask"
             )
+        object.__setattr__(
+            self,
+            "key",
+            (1 << self.prefix_len) | (self.network >> (128 - self.prefix_len)),
+        )
 
     @property
     def mask(self) -> int:
@@ -92,13 +102,23 @@ class MulticastPrefix:
 
 def dz_to_prefix(dz: Dz) -> MulticastPrefix:
     """The CIDR prefix a flow uses to match all events inside ``dz``."""
-    if len(dz) > MAX_DZ_BITS:
+    prefix_len, network = prefix_fields(dz.bits)
+    return MulticastPrefix(prefix_len=prefix_len, network=network)
+
+
+def prefix_fields(bits: str) -> tuple[int, int]:
+    """``(prefix_len, network)`` of :func:`dz_to_prefix` for the bits of a
+    dz, with no :class:`MulticastPrefix` built: tables are probed by them."""
+    n = len(bits)
+    if n > MAX_DZ_BITS:
         raise AddressingError(
-            f"dz of length {len(dz)} exceeds the {MAX_DZ_BITS} bits "
+            f"dz of length {n} exceeds the {MAX_DZ_BITS} bits "
             "available after the ff0e prefix"
         )
-    network = MULTICAST_BASE | (dz.value << (MAX_DZ_BITS - len(dz)))
-    return MulticastPrefix(prefix_len=_BASE_MASK_LEN + len(dz), network=network)
+    if not n:
+        return _BASE_MASK_LEN, MULTICAST_BASE
+    network = MULTICAST_BASE | (int(bits, 2) << (MAX_DZ_BITS - n))
+    return _BASE_MASK_LEN + n, network
 
 
 def prefix_to_dz(prefix: MulticastPrefix) -> Dz:

@@ -20,7 +20,12 @@ from collections.abc import Iterator
 
 from collections.abc import Callable
 
-from repro.core.addressing import MulticastPrefix, dz_to_prefix, prefix_to_dz
+from repro.core.addressing import (
+    MulticastPrefix,
+    dz_to_prefix,
+    prefix_fields,
+    prefix_to_dz,
+)
 from repro.core.dz import Dz
 from repro.exceptions import FlowTableError
 
@@ -143,8 +148,9 @@ class FlowStats:
     Updated by :meth:`FlowTable.record_hit` on every TCAM hit in
     ``Switch.receive``; read out-of-band by ``FlowStatsRequest`` over the
     control channel.  The record lives in the table keyed by the match
-    field, not on the (shared, frozen) :class:`FlowEntry`, so controller
-    shadow copies of an entry never alias the data-plane counters.
+    field's :attr:`~repro.core.addressing.MulticastPrefix.key`, not on the
+    (shared, frozen) :class:`FlowEntry`, so controller shadow copies of an
+    entry never alias the data-plane counters.
     """
 
     packets: int = 0
@@ -179,8 +185,8 @@ class FlowTable:
         self.clock = clock if clock is not None else (lambda: 0.0)
         # prefix_len -> network -> entry; keeps lookup O(#distinct lengths).
         self._by_len: dict[int, dict[int, FlowEntry]] = {}
-        # per-rule counters, parallel structure keyed like _by_len
-        self._stats_by_len: dict[int, dict[int, FlowStats]] = {}
+        # per-rule counters, keyed by the match's one-int ``key``
+        self._stats: dict[int, FlowStats] = {}
         self._size = 0
         self.lookups = 0
         self.misses = 0
@@ -201,7 +207,14 @@ class FlowTable:
         return self._by_len.get(match.prefix_len, {}).get(match.network)
 
     def get_dz(self, dz: Dz) -> FlowEntry | None:
-        return self.get(dz_to_prefix(dz))
+        """The entry matching exactly subspace ``dz``, if installed."""
+        return self.get_bits(dz.bits)
+
+    def get_bits(self, bits: str) -> FlowEntry | None:
+        """:meth:`get_dz` for the bits of a dz, with no ``Dz`` or prefix
+        built: the controller probes every dz a change can move."""
+        prefix_len, network = prefix_fields(bits)
+        return self._by_len.get(prefix_len, {}).get(network)
 
     # ------------------------------------------------------------------
     def install(self, entry: FlowEntry) -> None:
@@ -218,9 +231,7 @@ class FlowTable:
                     f"flow table full ({self.capacity} entries)"
                 )
             self._size += 1
-            self._stats_by_len.setdefault(entry.match.prefix_len, {})[
-                entry.match.network
-            ] = FlowStats(created_at=self.clock())
+            self._stats[entry.match.key] = FlowStats(created_at=self.clock())
         bucket[entry.match.network] = entry
 
     def remove(self, match: MulticastPrefix) -> FlowEntry:
@@ -229,17 +240,15 @@ class FlowTable:
         if bucket is None or match.network not in bucket:
             raise FlowTableError(f"no flow installed for {match}")
         entry = bucket.pop(match.network)
-        stats_bucket = self._stats_by_len[match.prefix_len]
-        del stats_bucket[match.network]
+        del self._stats[match.key]
         if not bucket:
             del self._by_len[match.prefix_len]
-            del self._stats_by_len[match.prefix_len]
         self._size -= 1
         return entry
 
     def clear(self) -> None:
         self._by_len.clear()
-        self._stats_by_len.clear()
+        self._stats.clear()
         self._size = 0
 
     # ------------------------------------------------------------------
@@ -248,18 +257,17 @@ class FlowTable:
     def record_hit(self, entry: FlowEntry, size_bytes: int, now: float) -> None:
         """Account one TCAM hit against the matched rule's counters.
 
-        Hot path (called per forwarded packet): two dict probes and three
+        Hot path (called per forwarded packet): one dict probe and three
         field writes.
         """
-        match = entry.match
-        stats = self._stats_by_len[match.prefix_len][match.network]
+        stats = self._stats[entry.match.key]
         stats.packets += 1
         stats.bytes += size_bytes
         stats.last_hit_at = now
 
     def stats_for(self, match: MulticastPrefix) -> FlowStats | None:
         """The counters of the rule installed for exactly ``match``."""
-        return self._stats_by_len.get(match.prefix_len, {}).get(match.network)
+        return self._stats.get(match.key)
 
     def entries_with_stats(self) -> list[tuple[FlowEntry, FlowStats]]:
         """Every (entry, counters) pair in canonical order (prefix length
@@ -267,9 +275,9 @@ class FlowTable:
         out: list[tuple[FlowEntry, FlowStats]] = []
         for plen in sorted(self._by_len, reverse=True):
             bucket = self._by_len[plen]
-            stats_bucket = self._stats_by_len[plen]
             for network in sorted(bucket):
-                out.append((bucket[network], stats_bucket[network]))
+                entry = bucket[network]
+                out.append((entry, self._stats[entry.match.key]))
         return out
 
     # ------------------------------------------------------------------

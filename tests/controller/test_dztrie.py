@@ -3,6 +3,7 @@
 from repro.controller.dztrie import DzTrie
 from repro.core.dz import ROOT, Dz
 from repro.network.flow import Action
+from tests.helpers import trie_actions_at, trie_cumulative, trie_descendants
 
 
 class TestRefCounting:
@@ -27,8 +28,8 @@ class TestRefCounting:
         trie = DzTrie()
         trie.add(Dz("10"), Action(2))
         trie.add(Dz("10"), Action(3))
-        assert trie.actions_at(Dz("10")) == {Action(2), Action(3)}
-        assert trie.actions_at(Dz("11")) == frozenset()
+        assert trie_actions_at(trie, Dz("10")) == {Action(2), Action(3)}
+        assert trie_actions_at(trie, Dz("11")) == frozenset()
 
 
 class TestQueries:
@@ -38,9 +39,9 @@ class TestQueries:
         trie.add(Dz("1"), Action(2))
         trie.add(Dz("10"), Action(3))
         trie.add(Dz("11"), Action(4))  # sibling: not on the path
-        assert trie.cumulative(Dz("10")) == {Action(1), Action(2), Action(3)}
-        assert trie.cumulative(Dz("100")) == {Action(1), Action(2), Action(3)}
-        assert trie.cumulative(ROOT) == {Action(1)}
+        assert trie_cumulative(trie, Dz("10")) == {Action(1), Action(2), Action(3)}
+        assert trie_cumulative(trie, Dz("100")) == {Action(1), Action(2), Action(3)}
+        assert trie_cumulative(trie, ROOT) == {Action(1)}
 
     def test_desired_entry_redundant(self):
         trie = DzTrie()
@@ -72,21 +73,70 @@ class TestQueries:
         trie.add(Dz("10"), Action(2))
         trie.add(Dz("101"), Action(3))
         trie.add(Dz("0"), Action(4))
-        assert set(trie.descendants(Dz("1"))) == {Dz("10"), Dz("101")}
-        assert set(trie.descendants(ROOT)) == {
+        assert set(trie_descendants(trie, Dz("1"))) == {Dz("10"), Dz("101")}
+        assert set(trie_descendants(trie, ROOT)) == {
             Dz("1"),
             Dz("10"),
             Dz("101"),
             Dz("0"),
         }
-        assert set(trie.descendants(Dz("101"))) == set()
+        assert set(trie_descendants(trie, Dz("101"))) == set()
 
     def test_descendants_skip_empty_nodes(self):
         trie = DzTrie()
         trie.add(Dz("101"), Action(1))
         trie.remove(Dz("101"), Action(1))
         trie.add(Dz("1011"), Action(2))
-        assert set(trie.descendants(Dz("1"))) == {Dz("1011")}
+        assert set(trie_descendants(trie, Dz("1"))) == {Dz("1011")}
+
+    def test_desired_closure_in_bits_order(self):
+        trie = DzTrie()
+        trie.add(Dz("1"), Action(1))
+        trie.add(Dz("11"), Action(2))
+        trie.add(Dz("10"), Action(1))  # implied by "1": no flow of its own
+        trie.add(Dz("101"), Action(3))
+        trie.add(Dz("0"), Action(4))  # outside the changed subtree
+        assert list(trie.desired_closure({"1"})) == [
+            ("1", {Action(1)}),
+            ("10", None),
+            ("101", {Action(1), Action(3)}),
+            ("11", {Action(1), Action(2)}),
+        ]
+
+    def test_desired_closure_visits_nested_changes_once(self):
+        trie = DzTrie()
+        trie.add(Dz("1"), Action(1))
+        trie.add(Dz("10"), Action(2))
+        trie.add(Dz("0"), Action(3))
+        closure = list(trie.desired_closure({"10", "1", "0"}))
+        assert [bits for bits, _ in closure] == ["0", "1", "10"]
+
+    def test_desired_closure_reports_emptied_dz(self):
+        """A changed dz whose last holder left yields None, so its stale
+        entry is removed; emptied descendants that did not change are
+        skipped."""
+        trie = DzTrie()
+        trie.add(Dz("1"), Action(1))
+        trie.add(Dz("10"), Action(2))
+        trie.add(Dz("100"), Action(3))
+        trie.remove(Dz("1"), Action(1))
+        trie.remove(Dz("100"), Action(3))
+        assert list(trie.desired_closure({"1"})) == [
+            ("1", None),
+            ("10", {Action(2)}),
+        ]
+        assert list(trie.desired_closure({"100"})) == [("100", None)]
+
+    def test_desired_closure_below_coarser_contribution(self):
+        trie = DzTrie()
+        trie.add(ROOT, Action(1))
+        trie.add(Dz("01"), Action(2))
+        trie.add(Dz("011"), Action(1))
+        assert list(trie.desired_closure({"01"})) == [
+            ("01", {Action(1), Action(2)}),
+            ("011", None),
+        ]
+        assert list(trie.desired_closure({"11"})) == [("11", None)]
 
     def test_contributions_round_trip(self):
         trie = DzTrie()
@@ -103,14 +153,14 @@ class TestEdgeCases:
     def test_descendants_of_dz_with_no_subtree(self):
         trie = DzTrie()
         trie.add(Dz("10"), Action(2))
-        assert list(trie.descendants(Dz("10"))) == []   # leaf: empty subtree
-        assert list(trie.descendants(Dz("01"))) == []   # absent node entirely
+        assert list(trie_descendants(trie, Dz("10"))) == []   # leaf: empty subtree
+        assert list(trie_descendants(trie, Dz("01"))) == []   # absent node entirely
 
     def test_descendants_skips_empty_interior_nodes(self):
         trie = DzTrie()
         trie.add(Dz("1011"), Action(2))  # '10' and '101' exist but are empty
-        assert list(trie.descendants(Dz("1"))) == [Dz("1011")]
-        assert list(trie.descendants(Dz("1011"))) == []
+        assert list(trie_descendants(trie, Dz("1"))) == [Dz("1011")]
+        assert list(trie_descendants(trie, Dz("1011"))) == []
 
     def test_double_remove_does_not_underflow(self):
         trie = DzTrie()
@@ -121,7 +171,7 @@ class TestEdgeCases:
         assert len(trie) == 0
         # one fresh holder must make the pair visible again immediately
         assert trie.add(Dz("10"), Action(2)) is True
-        assert trie.actions_at(Dz("10")) == {Action(2)}
+        assert trie_actions_at(trie, Dz("10")) == {Action(2)}
         assert len(trie) == 1
 
     def test_last_holder_leaving_clears_desired_entry(self):

@@ -27,6 +27,26 @@ class TestEndpoint:
 
 
 class TestLedger:
+    def test_add_route_equals_per_hop_adds(self):
+        hops = [("R1", Action(2)), ("R2", Action(1)), ("R3", Action(3, 9))]
+        grouped, single = FlowLedger(), FlowLedger()
+        for ledger in (grouped, single):
+            ledger.add("R2", Dz("10"), Action(1), key(sub=7))  # R2 holds it
+        assert grouped.add_route(key(), hops) == ["R1", "R3"]
+        new_on = [
+            switch
+            for switch, action in hops
+            if single.add(switch, Dz("10"), action, key())
+        ]
+        assert new_on == ["R1", "R3"]
+        assert grouped._by_key == single._by_key
+        assert grouped.keys_for(sub_id=1) == single.keys_for(sub_id=1)
+        for switch in ("R1", "R2", "R3"):
+            assert grouped.contributions(switch) == single.contributions(
+                switch
+            )
+        assert grouped.remove_key(key()) == single.remove_key(key())
+
     def test_add_and_aggregate(self):
         ledger = FlowLedger()
         ledger.add("R1", Dz("10"), Action(2), key(sub=1))

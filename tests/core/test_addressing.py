@@ -11,6 +11,7 @@ from repro.core.addressing import (
     address_to_dz,
     dz_to_address,
     dz_to_prefix,
+    prefix_fields,
     prefix_to_dz,
 )
 from repro.core.dz import ROOT, Dz
@@ -59,6 +60,38 @@ class TestRoundTrips:
     def test_root_maps_to_base(self):
         prefix = dz_to_prefix(ROOT)
         assert str(prefix) == "ff0e::/16"
+
+
+class TestPrefixKey:
+    @pytest.mark.parametrize(
+        "bits", ["", "0", "1", "01", "10", "101101", "0" * 50, "1" * 112]
+    )
+    def test_prefix_fields_are_the_prefix(self, bits):
+        prefix = dz_to_prefix(Dz(bits))
+        assert prefix_fields(bits) == (prefix.prefix_len, prefix.network)
+
+    def test_prefix_fields_reject_overlong_bits(self):
+        with pytest.raises(AddressingError):
+            prefix_fields("1" * 113)
+
+    def test_one_int_key_tells_lengths_apart(self):
+        """``1`` and ``10`` share a network address; their keys differ."""
+        coarse, fine = dz_to_prefix(Dz("1")), dz_to_prefix(Dz("10"))
+        assert coarse.network == fine.network
+        assert coarse.key != fine.key
+        keys = {
+            dz_to_prefix(Dz(format(v, "b").zfill(n) if n else "")).key
+            for n in range(6)
+            for v in range(2**n)
+        }
+        assert len(keys) == 2**6 - 1
+
+    def test_key_stays_out_of_equality_and_repr(self):
+        prefix = dz_to_prefix(Dz("101"))
+        twin = MulticastPrefix(prefix.prefix_len, prefix.network)
+        assert twin == prefix and hash(twin) == hash(prefix)
+        assert twin.key == prefix.key
+        assert "key" not in repr(prefix)
 
 
 class TestValidation:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from repro.controller.controller import PleromaController
+from repro.controller.dztrie import DzTrie
 from repro.core.addressing import dz_to_address
+from repro.core.dz import Dz
 from repro.core.events import Event, EventSpace
 from repro.core.spatial_index import SpatialIndexer
 from repro.network.fabric import Network, NetworkParams
+from repro.network.flow import Action
 from repro.network.packet import EventPayload, Packet, event_packet_size
 from repro.network.topology import Topology
 from repro.sim.engine import Simulator
@@ -140,3 +144,41 @@ def make_system(
     for host in topology.hosts():
         system.watch_host(host)
     return system
+
+
+# ----------------------------------------------------------------------
+# dz-trie queries the controller no longer needs: the per-dz walks its
+# table patching used before the carry-down closure walk, kept to pin that
+# walk and to test the trie's bookkeeping.
+# ----------------------------------------------------------------------
+def trie_actions_at(trie: DzTrie, dz: Dz) -> frozenset[Action]:
+    """The actions contributed at exactly ``dz``."""
+    node = trie._walk(dz.bits)
+    return frozenset(node.counts or ()) if node is not None else frozenset()
+
+
+def trie_cumulative(trie: DzTrie, dz: Dz) -> frozenset[Action]:
+    """Union of actions contributed at ``dz`` or any coarser dz."""
+    actions: set[Action] = set(trie._root.counts or ())
+    node = trie._root
+    for bit in dz.bits:
+        node = node.children.get(bit)
+        if node is None:
+            break
+        actions |= (node.counts or {}).keys()
+    return frozenset(actions)
+
+
+def trie_descendants(trie: DzTrie, dz: Dz) -> Iterator[Dz]:
+    """All strictly finer dz holding contributions."""
+    start = trie._walk(dz.bits)
+    if start is None:
+        return
+    stack = [(dz.bits + bit, child) for bit, child in start.children.items()]
+    while stack:
+        bits, node = stack.pop()
+        if node.counts:
+            yield Dz(bits)
+        stack.extend(
+            (bits + bit, child) for bit, child in node.children.items()
+        )

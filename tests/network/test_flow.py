@@ -80,7 +80,30 @@ class TestFlowTableInstall:
         table.install(e)
         assert table.get(e.match) is e
         assert table.get_dz(Dz("101")) is e
+        assert table.get_bits("101") is e
         assert len(table) == 1
+
+    def test_get_bits_tells_nested_dz_apart(self):
+        """``10`` and ``100`` share a network address, not a prefix length."""
+        table = FlowTable()
+        coarse, fine = entry("10", 2), entry("100", 3)
+        table.install(coarse)
+        assert table.get_bits("100") is None
+        table.install(fine)
+        assert table.get_bits("10") is coarse
+        assert table.get_bits("100") is fine
+        assert table.get_bits("") is None
+        assert table.get_bits("11") is None
+
+    @pytest.mark.parametrize(
+        "bits", ["", "0", "1", "01", "10", "101101", "0" * 50, "1" * 112]
+    )
+    def test_get_bits_is_the_prefix_arithmetic(self, bits):
+        table = FlowTable()
+        e = entry(bits, 2)
+        table.install(e)
+        assert table.get_bits(bits) is e
+        assert table.get(dz_to_prefix(Dz(bits))) is e
 
     def test_install_replaces_same_match(self):
         table = FlowTable()

@@ -234,3 +234,71 @@ class TestFlightTraceDeterminism:
             return out.read_bytes(), chrome.read_bytes()
 
         assert run("a", "0") == run("b", "31337")
+
+
+_FLOW_MOD_SCRIPT = """
+import random
+
+from repro.core.subscription import Advertisement, Subscription
+from repro.middleware.pleroma import Pleroma
+from repro.network.topology import paper_fat_tree
+
+middleware = Pleroma(paper_fat_tree(), dimensions=2, max_dz_length=12)
+applier = middleware.controllers[0]._applier
+install, remove = applier.install, applier.remove
+
+
+def logged_install(switch, entry):
+    print(switch, "install", entry.match, entry.cookie)
+    install(switch, entry)
+
+
+def logged_remove(switch, match):
+    print(switch, "remove", match)
+    remove(switch, match)
+
+
+applier.install, applier.remove = logged_install, logged_remove
+
+rng = random.Random(3)
+hosts = middleware.topology.hosts()
+middleware.advertise(hosts[0], Advertisement.of())
+live = []
+for i in range(60):
+    bounds = {}
+    for attr in ("attr0", "attr1"):
+        low = rng.randrange(0, 1024)
+        bounds[attr] = (low, min(1023, low + rng.randrange(16, 512)))
+    host = hosts[1 + i % (len(hosts) - 1)]
+    live.append((host, middleware.subscribe(host, Subscription.of(**bounds)).sub_id))
+    if i % 3 == 2:
+        middleware.unsubscribe(*live.pop(0))
+"""
+
+
+class TestFlowModOrder:
+    """The flow-mods a request issues, and the cookie each installed entry
+    gets, do not depend on the interpreter's hash salt: the controller
+    patches each switch's changed dz in bits order."""
+
+    def test_flow_mod_sequence_identical_across_hash_seeds(self, tmp_path):
+        script = tmp_path / "flow_mods.py"
+        script.write_text(_FLOW_MOD_SCRIPT, encoding="utf-8")
+        src_dir = str(Path(repro.__file__).resolve().parents[1])
+
+        def run(seed: str) -> list[str]:
+            env = dict(os.environ)
+            env["PYTHONHASHSEED"] = seed
+            env["PYTHONPATH"] = src_dir
+            result = subprocess.run(
+                [sys.executable, str(script)],
+                capture_output=True,
+                env=env,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr.decode()
+            return result.stdout.decode().splitlines()
+
+        first = run("0")
+        assert len(first) > 1000  # the scenario really churns the tables
+        assert first == run("31337")

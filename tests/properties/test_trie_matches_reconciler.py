@@ -54,9 +54,9 @@ class TestTrieMatchesReconciler:
     @settings(max_examples=100, deadline=None)
     @given(operations)
     def test_closure_patching_converges_to_spec(self, ops):
-        """Applying the controller's patch rule (re-evaluate changed dz and
-        their descendants after each op) keeps the table at the reconciled
-        desired state."""
+        """Applying the controller's patch rule (re-evaluate the changed dz
+        and its contributed descendants, ``DzTrie.desired_closure``, after
+        each op) keeps the table at the reconciled desired state."""
         trie = DzTrie()
         holders: dict[tuple[str, Action], int] = {}
         table = FlowTable()
@@ -73,14 +73,12 @@ class TestTrieMatchesReconciler:
                 continue
             if not changed:
                 continue
-            closure = {dz, *trie.descendants(dz)}
-            for probe in closure:
-                desired = trie.desired_entry(probe)
-                current = table.get_dz(probe)
+            for bits, desired in trie.desired_closure({dz.bits}):
+                current = table.get_bits(bits)
                 if desired is None:
                     if current is not None:
                         table.remove(current.match)
                 elif current is None or current.actions != desired:
-                    table.install(FlowEntry.for_dz(probe, desired))
+                    table.install(FlowEntry.for_dz(Dz(bits), desired))
         spec = desired_flows(trie.contributions())
         assert {e.dz: e.actions for e in table} == spec
