@@ -10,6 +10,7 @@ from repro.analysis.invariants import VIOLATION_KINDS, Violation
 from repro.analysis.verify import (
     VerificationError,
     VerificationReport,
+    Verifier,
     verify_controller,
     verify_deployment,
 )
@@ -23,6 +24,7 @@ __all__ = [
     "VIOLATION_KINDS",
     "VerificationError",
     "VerificationReport",
+    "Verifier",
     "verify_controller",
     "verify_deployment",
 ]

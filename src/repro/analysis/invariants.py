@@ -28,13 +28,19 @@ The invariants, mirroring the classic SDN verification literature
 
 Each check is deterministic: iteration is over sorted keys only, so equal
 states produce byte-identical violation lists.
+
+Every check takes the controller and an optional :class:`CheckCache`.  A
+warm :class:`~repro.analysis.verify.Verifier` passes the same cache on
+every run, and the table checks and the forwarding replays reuse what it
+holds for the switches and ports nothing touched since; without one the
+check starts from an empty cache, which is the cold reference run.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -46,9 +52,10 @@ from repro.core.dzset import DzSet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.controller.controller import PleromaController
     from repro.controller.state import Endpoint
-    from repro.network.flow import FlowTable
+    from repro.network.flow import Action, FlowTable
 
 __all__ = [
+    "CheckCache",
     "Violation",
     "VIOLATION_KINDS",
     "check_tree_structure",
@@ -103,10 +110,83 @@ class Violation:
         return f"[{self.kind}] {self.controller}/{self.subject}: {self.message}"
 
 
+class CheckCache:
+    """What a warm verifier remembers about one controller between runs.
+
+    * ``drift`` and ``shadowing`` map a switch to its last result, under
+      the key it was computed with: ``(table, table.version, ledger
+      version of the switch)`` for drift, ``(table, table.version)`` for
+      shadowing, which reads nothing else.
+    * ``replays`` maps ``(origin switch, origin port, probe bits)`` to the
+      last :func:`_disseminate` trace.  A trace lists the ``(switch,
+      table, version, best-match actions)`` of every table it looked up
+      and the ``(switch, port, neighbour)`` of every port-map entry it
+      read, and is reused only while the same tables are installed, each
+      one's version or else its best-match action set for the probe is
+      unchanged, and every port-map entry is unchanged.  Each forwarding
+      run keeps just the replays it used, so the cache never outgrows
+      one run.
+
+    All of it is keyed on the controller's partition, install mode and
+    ledger object as well (:meth:`sync` drops everything when one of them
+    changes).  Cached results are reused dirty or clean.  What the fault
+    injectors edit in place without a version (subscriptions, trees) is
+    never cached: the probe sets, wanted regions and delivery checks are
+    recomputed on every run.
+    """
+
+    def __init__(self) -> None:
+        self.scope: tuple | None = None
+        self.drift: dict[str, tuple[tuple, list[Violation]]] = {}
+        self.shadowing: dict[str, tuple[tuple, list[Violation]]] = {}
+        self.replays: dict[tuple[str, int, str], _Trace] = {}
+
+    def sync(self, controller: "PleromaController") -> None:
+        """Drop everything if the controller's scope moved."""
+        scope = (
+            controller.name,
+            frozenset(controller.partition),
+            controller.install_mode,
+            controller.ledger,
+        )
+        if scope != self.scope:
+            self.scope = scope
+            self.drift.clear()
+            self.shadowing.clear()
+            self.replays.clear()
+
+
+def _warm(
+    controller: "PleromaController", cache: CheckCache | None
+) -> CheckCache:
+    """``cache`` brought up to the controller's scope, or a fresh one."""
+    if cache is None:
+        cache = CheckCache()
+    cache.sync(controller)
+    return cache
+
+
+def _memo(
+    results: dict[str, tuple[tuple, list[Violation]]],
+    switch: str,
+    key: tuple,
+    compute: Callable[..., Iterable[Violation]],
+    *args: object,
+) -> list[Violation]:
+    """``results[switch]`` if it was computed under ``key``, else
+    ``compute(*args)``, remembered under ``key``."""
+    hit = results.get(switch)
+    if hit is None or hit[0] != key:
+        hit = results[switch] = (key, list(compute(*args)))
+    return hit[1]
+
+
 # ----------------------------------------------------------------------
 # tree-level invariants
 # ----------------------------------------------------------------------
-def check_tree_structure(controller: "PleromaController") -> list[Violation]:
+def check_tree_structure(
+    controller: "PleromaController", cache: CheckCache | None = None
+) -> list[Violation]:
     """Every tree's parent map must be a cycle-free arborescence."""
     from repro.exceptions import ControllerError
 
@@ -127,7 +207,9 @@ def check_tree_structure(controller: "PleromaController") -> list[Violation]:
     return violations
 
 
-def check_tree_disjointness(controller: "PleromaController") -> list[Violation]:
+def check_tree_disjointness(
+    controller: "PleromaController", cache: CheckCache | None = None
+) -> list[Violation]:
     """``DZ(t) ∩ DZ(t') = ∅`` for all distinct trees (Sec. 3.2)."""
     violations: list[Violation] = []
     trees = _sorted_trees(controller)
@@ -158,7 +240,9 @@ def check_tree_disjointness(controller: "PleromaController") -> list[Violation]:
 # ----------------------------------------------------------------------
 # table-level invariants
 # ----------------------------------------------------------------------
-def check_shadowing(controller: "PleromaController") -> list[Violation]:
+def check_shadowing(
+    controller: "PleromaController", cache: CheckCache | None = None
+) -> list[Violation]:
     """No installed entry may be dead: fully shadowed by a coarser entry
     of strictly higher priority.
 
@@ -174,35 +258,52 @@ def check_shadowing(controller: "PleromaController") -> list[Violation]:
     priority: the first one :meth:`~repro.network.flow.FlowTable.entries`
     lists.
     """
+    cache = _warm(controller, cache)
     violations: list[Violation] = []
     for name in sorted(controller.partition):
         table = controller.installed_table(name)
-        for shadowed in table.entries():
-            for shadowing in table.coarser_entries(shadowed.match):
-                if shadowing.priority > shadowed.priority:
-                    violations.append(
-                        Violation(
-                            kind="shadowed_rule",
-                            controller=controller.name,
-                            subject=name,
-                            message=(
-                                f"entry {shadowed} on {name} can never "
-                                f"match: shadowed by {shadowing}"
-                            ),
-                            details={
-                                "switch": name,
-                                "dead_dz": shadowed.dz.bits,
-                                "dead_priority": shadowed.priority,
-                                "shadowing_dz": shadowing.dz.bits,
-                                "shadowing_priority": shadowing.priority,
-                            },
-                        )
-                    )
-                    break  # one witness per dead entry is enough
+        violations.extend(
+            _memo(
+                cache.shadowing,
+                name,
+                (table, table.version),
+                _dead_rules,
+                controller.name,
+                name,
+                table,
+            )
+        )
     return violations
 
 
-def check_table_drift(controller: "PleromaController") -> list[Violation]:
+def _dead_rules(
+    controller_name: str, switch: str, table: "FlowTable"
+) -> Iterator[Violation]:
+    for shadowed in table.entries():
+        for shadowing in table.coarser_entries(shadowed.match):
+            if shadowing.priority > shadowed.priority:
+                yield Violation(
+                    kind="shadowed_rule",
+                    controller=controller_name,
+                    subject=switch,
+                    message=(
+                        f"entry {shadowed} on {switch} can never "
+                        f"match: shadowed by {shadowing}"
+                    ),
+                    details={
+                        "switch": switch,
+                        "dead_dz": shadowed.dz.bits,
+                        "dead_priority": shadowed.priority,
+                        "shadowing_dz": shadowing.dz.bits,
+                        "shadowing_priority": shadowing.priority,
+                    },
+                )
+                break  # one witness per dead entry is enough
+
+
+def check_table_drift(
+    controller: "PleromaController", cache: CheckCache | None = None
+) -> list[Violation]:
     """Installed tables must equal the ledger-derived desired state.
 
     In ``reconcile`` mode the desired table is unique and the comparison
@@ -212,6 +313,7 @@ def check_table_drift(controller: "PleromaController") -> list[Violation]:
     The incremental DzTrie is also pinned against the from-scratch
     reconciler — drift between the two data structures is itself a bug.
     """
+    cache = _warm(controller, cache)
     violations: list[Violation] = []
     ledger_switches = set(controller.ledger.switches())
     for name in sorted(ledger_switches - controller.partition):
@@ -227,38 +329,50 @@ def check_table_drift(controller: "PleromaController") -> list[Violation]:
                 details={"switch": name},
             )
         )
+    ledger = controller.ledger
     for name in sorted(controller.partition):
         table = controller.installed_table(name)
-        contributions = controller.ledger.contributions(name)
-        desired = desired_flows(contributions)
-        trie = controller.ledger.trie(name)
-        for dz in sorted(contributions, key=lambda d: (len(d), d.bits)):
-            if trie.desired_entry(dz) != desired.get(dz):
-                violations.append(
-                    Violation(
-                        kind="drift",
-                        controller=controller.name,
-                        subject=name,
-                        message=(
-                            f"DzTrie and reconciler disagree on {name} at "
-                            f"dz {dz}"
-                        ),
-                        details={
-                            "switch": name,
-                            "dz": dz.bits,
-                            "reason": "trie_mismatch",
-                        },
-                    )
-                )
-        if controller.install_mode == "reconcile":
-            violations.extend(
-                _exact_drift(controller.name, name, table, desired)
+        violations.extend(
+            _memo(
+                cache.drift,
+                name,
+                (table, table.version, ledger.version(name)),
+                _switch_drift,
+                controller,
+                name,
+                table,
             )
-        else:
-            violations.extend(
-                _semantic_drift(controller.name, name, table, desired)
-            )
+        )
     return violations
+
+
+def _switch_drift(
+    controller: "PleromaController", switch: str, table: "FlowTable"
+) -> Iterator[Violation]:
+    """One switch's drift: the trie pin, then the table comparison."""
+    contributions = controller.ledger.contributions(switch)
+    desired = desired_flows(contributions)
+    trie = controller.ledger.trie(switch)
+    for dz in sorted(contributions, key=lambda d: (len(d), d.bits)):
+        if trie.desired_entry(dz) != desired.get(dz):
+            yield Violation(
+                kind="drift",
+                controller=controller.name,
+                subject=switch,
+                message=(
+                    f"DzTrie and reconciler disagree on {switch} at "
+                    f"dz {dz}"
+                ),
+                details={
+                    "switch": switch,
+                    "dz": dz.bits,
+                    "reason": "trie_mismatch",
+                },
+            )
+    if controller.install_mode == "reconcile":
+        yield from _exact_drift(controller.name, switch, table, desired)
+    else:
+        yield from _semantic_drift(controller.name, switch, table, desired)
 
 
 def _exact_drift(
@@ -360,7 +474,9 @@ def _semantic_drift(
 # ----------------------------------------------------------------------
 # bookkeeping invariants
 # ----------------------------------------------------------------------
-def check_ledger(controller: "PleromaController") -> list[Violation]:
+def check_ledger(
+    controller: "PleromaController", cache: CheckCache | None = None
+) -> list[Violation]:
     """Ledger paths must reference live state, and live state must be
     fully wired into the ledger.
 
@@ -475,17 +591,60 @@ def check_ledger(controller: "PleromaController") -> list[Violation]:
 # ----------------------------------------------------------------------
 @dataclass
 class _Trace:
-    """The static fan-out of one probe through the installed tables."""
+    """The static fan-out of one probe through the installed tables, and
+    what it read to get there (the keys of a cached replay)."""
 
-    deliveries: list[tuple[str, int | None]]  # (host, rewritten dst)
-    border_exits: list[tuple[str, int]]  # (switch, out_port)
-    drops: list[str]  # switches that matched nothing (false-positive drop)
-    misdirected: list[tuple[str, str]]  # (switch, switch hit by a rewrite)
-    loops: list[tuple[str, str]]  # (from switch, revisited switch)
-    bad_ports: list[tuple[str, int]]  # (switch, port with no link)
+    deliveries: list[tuple[str, int | None]] = field(default_factory=list)
+    # (switch, out_port)
+    border_exits: list[tuple[str, int]] = field(default_factory=list)
+    # switches that matched nothing (false-positive drop)
+    drops: list[str] = field(default_factory=list)
+    # (switch, switch hit by a rewrite)
+    misdirected: list[tuple[str, str]] = field(default_factory=list)
+    loops: list[tuple[str, str]] = field(default_factory=list)  # (from, to)
+    bad_ports: list[tuple[str, int]] = field(default_factory=list)
+    address: int = 0  # the probe address the replay looked up
+    # (switch, table, table.version, actions of the best match or None)
+    # of every lookup
+    tables_read: list[
+        tuple[str, "FlowTable", int, frozenset["Action"] | None]
+    ] = field(default_factory=list)
+    # (switch, out_port, port-map entry) of every output considered
+    ports_read: list[tuple[str, int, str | None]] = field(
+        default_factory=list
+    )
+
+    def still_valid(
+        self,
+        tables: dict[str, "FlowTable"],
+        port_maps: dict[str, dict[int, str]],
+    ) -> bool:
+        """Whether a replay now would read exactly what this one read,
+        given the partition's tables and port maps as they are now.
+
+        A replay reads nothing of a table but the action set of its best
+        match for the probe, so a table whose version moved is looked up
+        once more: the same actions keep the replay, under the new
+        version.
+        """
+        reads = self.tables_read
+        for i, (switch, table, version, actions) in enumerate(reads):
+            if tables.get(switch) is not table:
+                return False
+            if table.version != version:
+                entry = table.best_match(self.address)
+                if (entry.actions if entry is not None else None) != actions:
+                    return False
+                reads[i] = (switch, table, table.version, actions)
+        for switch, port, neighbor in self.ports_read:
+            if port_maps[switch].get(port) != neighbor:
+                return False
+        return True
 
 
-def check_forwarding(controller: "PleromaController") -> list[Violation]:
+def check_forwarding(
+    controller: "PleromaController", cache: CheckCache | None = None
+) -> list[Violation]:
     """Statically disseminate a probe per (publisher, dz prefix) and
     verify the resulting forwarding graph.
 
@@ -494,11 +653,19 @@ def check_forwarding(controller: "PleromaController") -> list[Violation]:
     anywhere in the partition (the equivalence classes a real event could
     fall into).  Each probe must reach exactly the subscribers whose
     region covers it, visiting no switch twice and dying on no switch.
+
+    Replays come from ``cache`` while still valid (see :class:`CheckCache`).
     """
+    cache = _warm(controller, cache)
+    cached = cache.replays
+    replays: dict[tuple[str, int, str], _Trace] = {}
     violations: list[Violation] = []
     port_maps = {
         name: _port_map(controller, name)
         for name in sorted(controller.partition)
+    }
+    tables = {
+        name: controller.installed_table(name) for name in controller.partition
     }
     # Probe candidates are the equivalence classes a real event can fall
     # into: every dz installed in some table, plus every dz a ledger path
@@ -506,36 +673,47 @@ def check_forwarding(controller: "PleromaController") -> list[Violation]:
     # coarser flows, but events in them must still be routed correctly).
     # Sorted by bits, the candidates inside a dz form one contiguous run,
     # ``[dz.bits, dz.bits + "2")``, which two bisections find.
-    candidates = sorted(
-        {
-            entry.dz
-            for name in controller.partition
-            for entry in controller.installed_table(name).entries()
-        }
-        | {key.dz for key in controller.ledger.keys_for()},
-        key=lambda d: d.bits,
-    )
-    candidate_bits = [d.bits for d in candidates]
+    # Keyed by bits: a str caches its hash, a Dz recomputes it.
+    by_bits = {
+        entry.dz.bits: entry.dz
+        for table in tables.values()
+        for entry in table.entries()
+    }
+    for key in controller.ledger.keys_for():
+        by_bits.setdefault(key.dz.bits, key.dz)
+    candidate_bits = sorted(by_bits)
+    candidates = [by_bits[bits] for bits in candidate_bits]
     subs = controller.subscriptions
     for tree in _sorted_trees(controller):
         for adv_id in sorted(tree.publishers):
             pub = tree.publishers[adv_id]
-            probes: set[Dz] = set()
+            probes: dict[str, Dz] = {}
             for dz in pub.overlap:
-                probes.add(dz)
+                probes[dz.bits] = dz
                 lo = bisect_left(candidate_bits, dz.bits)
                 hi = bisect_left(candidate_bits, dz.bits + "2", lo)
-                probes.update(candidates[lo:hi])
+                probes.update(zip(candidate_bits[lo:hi], candidates[lo:hi]))
             # the region each subscriber wants from this publisher
             wanted = {
                 sub_id: pub.overlap.intersect(subs[sub_id].dz_set)
                 for sub_id in sorted(subs)
                 if subs[sub_id].endpoint.name != pub.endpoint.name
             }
-            for probe in sorted(probes, key=lambda d: (len(d), d.bits)):
-                trace = _disseminate(
-                    controller, port_maps, pub.endpoint, probe
-                )
+            start = pub.endpoint
+            for probe in sorted(
+                probes.values(), key=lambda d: (len(d.bits), d.bits)
+            ):
+                replay = (start.switch, start.port, probe.bits)
+                trace = replays.get(replay)
+                if trace is None:
+                    trace = cached.get(replay)
+                    if trace is None or not trace.still_valid(
+                        tables, port_maps
+                    ):
+                        trace = _disseminate(
+                            controller, port_maps, start, probe
+                        )
+                    replays[replay] = trace
                 subject = f"tree:{tree.tree_id}"
                 for origin, revisited in trace.loops:
                     violations.append(
@@ -607,6 +785,7 @@ def check_forwarding(controller: "PleromaController") -> list[Violation]:
                         controller, tree, adv_id, wanted, probe, trace
                     )
                 )
+    cache.replays = replays
     return violations
 
 
@@ -651,16 +830,17 @@ def _check_deliveries(
                 },
             )
     # no delivery may lack a matching subscription
-    matching_hosts = {
-        s.endpoint.name
-        for s in subs.values()
-        if not s.endpoint.is_virtual and s.dz_set.overlaps_dz(probe)
-    }
-    matching_exits = {
-        (s.endpoint.switch, s.endpoint.port)
-        for s in subs.values()
-        if s.endpoint.is_virtual and s.dz_set.overlaps_dz(probe)
-    }
+    if not trace.deliveries and not exits:
+        return
+    matching_hosts: set[str] = set()
+    matching_exits: set[tuple[str, int]] = set()
+    for s in subs.values():
+        if s.dz_set.overlaps_dz(probe):
+            ep = s.endpoint
+            if ep.is_virtual:
+                matching_exits.add((ep.switch, ep.port))
+            else:
+                matching_hosts.add(ep.name)
     for host, rewritten in sorted(
         trace.deliveries, key=lambda d: (d[0], d[1] or 0)
     ):
@@ -735,25 +915,32 @@ def _disseminate(
     (a terminal delivery).
     """
     address = dz_to_address(probe)
-    trace = _Trace([], [], [], [], [], [])
+    trace = _Trace(address=address)
     start = origin.switch
     visited = {start}
     queue: deque[tuple[str, int]] = deque([(start, origin.port)])
     while queue:
         switch, in_port = queue.popleft()
-        entry = controller.installed_table(switch).best_match(address)
+        table = controller.installed_table(switch)
+        entry = table.best_match(address)
+        trace.tables_read.append(
+            (
+                switch,
+                table,
+                table.version,
+                entry.actions if entry is not None else None,
+            )
+        )
         if entry is None:
             trace.drops.append(switch)
             continue
         ports = port_maps[switch]
-        # keyed sort: corrupted states may mix None/int set_dest on one port
-        for action in sorted(
-            entry.actions,
-            key=lambda a: (a.out_port, a.set_dest if a.set_dest is not None else -1),
-        ):
+        # a keyed sort: corrupted states may mix None/int set_dest on one port
+        for action in entry.sorted_actions():
             if action.out_port == in_port and action.set_dest is None:
                 continue  # ingress-port suppression, as the switch does
             neighbor = ports.get(action.out_port)
+            trace.ports_read.append((switch, action.out_port, neighbor))
             if neighbor is None:
                 trace.bad_ports.append((switch, action.out_port))
             elif neighbor in controller.network.hosts:

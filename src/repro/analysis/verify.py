@@ -1,10 +1,23 @@
 """The flow-state verifier: prove a controller snapshot correct, statically.
 
-:func:`verify_controller` runs every invariant check of
+A :class:`Verifier` runs every invariant check of
 :mod:`repro.analysis.invariants` over one controller and folds the results
-into a :class:`VerificationReport`; :func:`verify_deployment` does so for
-every controller of a deployment (a :class:`~repro.middleware.pleroma.Pleroma`
-facade or a bare controller list).
+into a :class:`VerificationReport`.  It is kept warm: its
+:class:`~repro.analysis.invariants.CheckCache` carries the per-switch drift
+and shadowing results and the forwarding replays from one run to the next,
+and a run re-checks only the switches whose flow table or ledger version
+moved and the replays that read a changed table or port-map entry.  Each
+controller owns one (``controller.verifier``); the repair loop and the
+``verify_after_each_request`` debug hook both run it.
+
+:func:`verify_controller` is the reference: a run of a fresh
+:class:`Verifier`, whose cache starts empty, so it computes everything.
+The ``check`` CLI and its self-test use it, and a warm run returns a
+report identical to it, violation order included
+(``tests/properties/test_verifier_oracle.py``).
+:func:`verify_deployment` runs it for every controller of a deployment (a
+:class:`~repro.middleware.pleroma.Pleroma` facade or a bare controller
+list).
 
 Results are observable: each run increments ``analysis.verify.runs`` and
 per-kind ``analysis.verify.violations`` counters in the controller's
@@ -19,10 +32,9 @@ nothing on violations — callers decide whether a dirty report is fatal
 (:class:`VerificationError` is provided for that, and is what the
 controller's ``verify_after_each_request`` debug hook raises).
 
-It runs after every repair, so the table checks are near-linear in the
-installed state: shadowing, drift and forwarding walk dz prefixes
-(ancestor probes, bisected candidate runs) instead of comparing every
-pair of entries, contributions or candidates.
+The table checks are near-linear in the installed state: shadowing, drift
+and forwarding walk dz prefixes (ancestor probes, bisected candidate runs)
+instead of comparing every pair of entries, contributions or candidates.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING
 
 from repro.analysis.invariants import (
+    CheckCache,
     Violation,
     check_forwarding,
     check_ledger,
@@ -48,6 +61,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 __all__ = [
     "VerificationError",
     "VerificationReport",
+    "Verifier",
     "verify_controller",
     "verify_deployment",
     "CHECKS",
@@ -64,7 +78,10 @@ class VerificationError(ReproError):
 
 #: The check suite, in the order it runs.  Structural checks come first so
 #: a report reads from root cause (state corruption) to symptom (bad
-#: forwarding).
+#: forwarding).  Each takes the controller and the run's
+#: :class:`~repro.analysis.invariants.CheckCache`; the tree and ledger
+#: checks read state the fault injectors edit in place, with no version
+#: to key on, so they keep nothing in it.
 CHECKS: tuple[tuple[str, Callable[..., list[Violation]]], ...] = (
     ("tree_structure", check_tree_structure),
     ("tree_disjointness", check_tree_disjointness),
@@ -124,44 +141,55 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+class Verifier:
+    """The check suite over one controller, warm from one run to the next.
+
+    Every run returns the report a cold :func:`verify_controller` run
+    over the same state returns, violation order included; the cache only
+    decides what is recomputed.
+    """
+
+    def __init__(self, controller: "PleromaController") -> None:
+        self.controller = controller
+        self.cache = CheckCache()
+
+    def run(self, *, raise_on_violation: bool = False) -> VerificationReport:
+        """Verify the controller's current state.
+
+        With ``raise_on_violation`` a dirty report raises
+        :class:`VerificationError` carrying the report.
+        """
+        controller = self.controller
+        violations: list[Violation] = []
+        for _name, check in CHECKS:
+            violations.extend(check(controller, self.cache))
+        report = VerificationReport(
+            controller=controller.name,
+            violations=tuple(violations),
+            checks_run=tuple(name for name, _check in CHECKS),
+        )
+        _record(controller, report)
+        if raise_on_violation and not report.ok:
+            raise VerificationError(report)
+        return report
+
+
 def verify_controller(
     controller: "PleromaController",
     *,
-    include_forwarding: bool = True,
     raise_on_violation: bool = False,
 ) -> VerificationReport:
-    """Run the full invariant suite over one controller snapshot.
-
-    ``include_forwarding=False`` skips the (comparatively expensive)
-    forwarding-graph dissemination — useful as a fast pre-check inside
-    tight churn loops.  With ``raise_on_violation`` a dirty report raises
-    :class:`VerificationError` carrying the report.
-    """
-    violations: list[Violation] = []
-    checks_run: list[str] = []
-    for name, check in CHECKS:
-        if name == "forwarding" and not include_forwarding:
-            continue
-        violations.extend(check(controller))
-        checks_run.append(name)
-    report = VerificationReport(
-        controller=controller.name,
-        violations=tuple(violations),
-        checks_run=tuple(checks_run),
-    )
-    _record(controller, report)
-    if raise_on_violation and not report.ok:
-        raise VerificationError(report)
-    return report
+    """Run the full invariant suite over one controller snapshot, cold:
+    a fresh :class:`Verifier` whose cache starts empty."""
+    return Verifier(controller).run(raise_on_violation=raise_on_violation)
 
 
 def verify_deployment(
     deployment,
     *,
-    include_forwarding: bool = True,
     raise_on_violation: bool = False,
 ) -> list[VerificationReport]:
-    """Verify every controller of a deployment.
+    """Verify every controller of a deployment, cold.
 
     ``deployment`` is either a :class:`~repro.middleware.pleroma.Pleroma`
     facade (its ``controllers`` attribute is used) or any iterable of
@@ -170,10 +198,7 @@ def verify_deployment(
     controllers: Iterable["PleromaController"] = getattr(
         deployment, "controllers", deployment
     )
-    reports = [
-        verify_controller(controller, include_forwarding=include_forwarding)
-        for controller in controllers
-    ]
+    reports = [verify_controller(controller) for controller in controllers]
     if raise_on_violation:
         dirty = [report for report in reports if not report.ok]
         if dirty:

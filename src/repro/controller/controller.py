@@ -38,7 +38,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from repro.controller.applier import ChannelApplier, DirectApplier
 from repro.controller.flow_installer import flow_addition
@@ -58,6 +58,9 @@ from repro.network.openflow import PacketIn
 from repro.network.packet import Packet
 from repro.network.switch import Switch
 from repro.obs.context import Observability
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.analysis.verify import Verifier
 
 __all__ = [
     "PleromaController",
@@ -203,9 +206,11 @@ class PleromaController:
         self.occupancy_threshold = occupancy_threshold
         self.min_dz_length = min_dz_length
         # Debug hook: statically verify the whole installed flow state
-        # after every successful request (see repro.analysis.verify).
-        # Expensive — meant for tests and the `check` CLI, not production.
+        # after every successful request (see repro.analysis.verify),
+        # with the same warm verifier the repair loop runs.
+        # Meant for tests and debugging, not production.
         self.verify_after_each_request = verify_after_each_request
+        self._verifier: "Verifier | None" = None
         self._request_depth = 0
         self.coarsen_events: list[tuple[int, int]] = []  # (old, new) lengths
         self._reindexing = False
@@ -851,9 +856,17 @@ class PleromaController:
             and self._request_depth == 0
             and not self._reindexing
         ):
-            from repro.analysis.verify import verify_controller
+            self.verifier.run(raise_on_violation=True)
 
-            verify_controller(self, raise_on_violation=True)
+    @property
+    def verifier(self) -> "Verifier":
+        """This controller's warm static verifier (one per controller),
+        built on first use."""
+        if self._verifier is None:
+            from repro.analysis.verify import Verifier
+
+            self._verifier = Verifier(self)
+        return self._verifier
 
     # ------------------------------------------------------------------
     def installed_table(self, switch: str) -> "FlowTable":

@@ -68,11 +68,17 @@ class FlowLedger:
     A *contribution* is a ``(dz, action)`` pair a path needs on a switch.
     The desired flow table of a switch is a pure function of its
     contributions (see :mod:`repro.controller.reconciler`).
+
+    Every mutator bumps :meth:`version` of each switch it touches, so a
+    reader can tell whether a switch's contributions may have moved
+    since it last looked (the warm verifier does).
     """
 
     def __init__(self) -> None:
         # switch -> dz-trie of reference-counted (dz, action) contributions
         self._tries: dict[str, DzTrie] = {}
+        # switch -> mutations that touched it
+        self._versions: dict[str, int] = {}
         # reverse index: key -> list of (switch, dz, action)
         self._by_key: dict[PathKey, list[tuple[str, Dz, Action]]] = {}
         # identity indexes: component value -> its keys, as insertion-ordered
@@ -94,6 +100,7 @@ class FlowLedger:
             trie = self._tries[switch] = DzTrie()
         changed = trie.add(dz, action)
         self._entries(key).append((switch, dz, action))
+        self._versions[switch] = self._versions.get(switch, 0) + 1
         return changed
 
     def add_route(
@@ -106,6 +113,7 @@ class FlowLedger:
         """
         entries = self._entries(key)
         tries = self._tries
+        versions = self._versions
         dz = key.dz
         new_on: list[str] = []
         for switch, action in hops:
@@ -115,6 +123,7 @@ class FlowLedger:
             if trie.add(dz, action):
                 new_on.append(switch)
             entries.append((switch, dz, action))
+            versions[switch] = versions.get(switch, 0) + 1
         return new_on
 
     def _entries(self, key: PathKey) -> list[tuple[str, Dz, Action]]:
@@ -141,10 +150,12 @@ class FlowLedger:
                 if not keys:
                     del index[value]
         changed: dict[str, set[Dz]] = {}
+        versions = self._versions
         for switch, dz, action in entries:
             trie = self._tries.get(switch)
             if trie is not None and trie.remove(dz, action):
                 changed.setdefault(switch, set()).add(dz)
+            versions[switch] = versions.get(switch, 0) + 1
         return changed
 
     def _identity(
@@ -173,6 +184,10 @@ class FlowLedger:
         return changed
 
     # ------------------------------------------------------------------
+    def version(self, switch: str) -> int:
+        """How many mutations have touched ``switch`` (0 if none)."""
+        return self._versions.get(switch, 0)
+
     def trie(self, switch: str) -> DzTrie:
         """The switch's contribution trie (empty if nothing installed)."""
         return self._tries.setdefault(switch, DzTrie())

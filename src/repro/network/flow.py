@@ -172,6 +172,10 @@ class FlowTable:
     ``clock`` stamps per-rule install times (``FlowStats.created_at``);
     the owning switch passes its simulator clock, standalone tables
     default to a constant 0.0.
+
+    ``version`` counts the mutations (:meth:`install`, :meth:`remove`,
+    :meth:`clear`); lookups and counter updates leave it alone.  The
+    warm verifier keys what it remembers about a table on it.
     """
 
     def __init__(
@@ -188,6 +192,7 @@ class FlowTable:
         # per-rule counters, keyed by the match's one-int ``key``
         self._stats: dict[int, FlowStats] = {}
         self._size = 0
+        self.version = 0
         self.lookups = 0
         self.misses = 0
 
@@ -233,6 +238,7 @@ class FlowTable:
             self._size += 1
             self._stats[entry.match.key] = FlowStats(created_at=self.clock())
         bucket[entry.match.network] = entry
+        self.version += 1
 
     def remove(self, match: MulticastPrefix) -> FlowEntry:
         """Delete and return the entry for ``match``."""
@@ -244,12 +250,14 @@ class FlowTable:
         if not bucket:
             del self._by_len[match.prefix_len]
         self._size -= 1
+        self.version += 1
         return entry
 
     def clear(self) -> None:
         self._by_len.clear()
         self._stats.clear()
         self._size = 0
+        self.version += 1
 
     # ------------------------------------------------------------------
     # per-rule statistics

@@ -13,10 +13,12 @@ reported directly (``Pleroma.fail_link`` / ``fail_switch``).  A pass:
    re-deploy each planned tree through the controller's
    ``restructure_tree`` (the ledger/reconciler machinery applies the
    minimal diff), resume clients whose component rejoined;
-4. proves the repaired deployment with the :mod:`repro.analysis` static
-   verifier and records a :class:`RepairRecord` with the modeled repair
-   latency (flow mods x control-channel round trip — wall-clock compute
-   time is deliberately excluded so records are deterministic).
+4. proves the repaired deployment with the controller's warm
+   :mod:`repro.analysis` static verifier (``controller.verifier``, which
+   re-checks only what the pass changed) and records a
+   :class:`RepairRecord` with the modeled repair latency (flow mods x
+   control-channel round trip — wall-clock compute time is deliberately
+   excluded so records are deterministic).
 
 Execution order inside a pass matters: suspension must come *before* the
 tree rebuilds (a detached member would make path installation fail), and
@@ -29,7 +31,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
-from repro.analysis.verify import verify_controller
 from repro.controller.controller import (
     AdvertisementState,
     PleromaController,
@@ -229,7 +230,7 @@ class RecoveryOrchestrator:
                 ):
                     rebuilt = self._execute(plan)
             flow_mods = controller.total_flow_mods - mods_before
-            report = verify_controller(controller) if self.verify else None
+            report = controller.verifier.run() if self.verify else None
             self.records.append(
                 RepairRecord(
                     time=controller.network.sim.now,

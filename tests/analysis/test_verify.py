@@ -32,12 +32,6 @@ class TestReport:
         assert document["ok"] is True
         assert document["violations"] == []
 
-    def test_skip_forwarding(self):
-        ctrl = deploy().controllers[0]
-        report = verify_controller(ctrl, include_forwarding=False)
-        assert "forwarding" not in report.checks_run
-        assert report.ok
-
     def test_raise_on_violation(self):
         ctrl = deploy().controllers[0]
         inject_fault(ctrl, "dropped_flow_mod")

@@ -115,3 +115,61 @@ class TestLedger:
         ledger = FlowLedger()
         ledger.add("R1", Dz("1"), Action(2), key())
         assert set(ledger.switches()) == {"R1"}
+
+
+class TestLedgerVersion:
+    """Each mutator bumps the version of exactly the switches it touches."""
+
+    def versions(self, ledger, switches=("R1", "R2", "R3")):
+        return {name: ledger.version(name) for name in switches}
+
+    def test_unknown_switch_is_zero(self):
+        assert FlowLedger().version("R1") == 0
+
+    def test_add_touches_its_switch_only(self):
+        ledger = FlowLedger()
+        ledger.add("R1", Dz("10"), Action(2), key(sub=1))
+        assert self.versions(ledger) == {"R1": 1, "R2": 0, "R3": 0}
+        # another holder of the same pair: the aggregate is unchanged, but
+        # the switch was touched
+        ledger.add("R1", Dz("10"), Action(2), key(sub=2))
+        assert self.versions(ledger) == {"R1": 2, "R2": 0, "R3": 0}
+
+    def test_add_route_touches_each_hop(self):
+        ledger = FlowLedger()
+        ledger.add_route(key(), [("R1", Action(2)), ("R3", Action(1))])
+        assert self.versions(ledger) == {"R1": 1, "R2": 0, "R3": 1}
+
+    def test_remove_key_touches_the_keys_switches(self):
+        ledger = FlowLedger()
+        ledger.add_route(key(sub=1), [("R1", Action(2)), ("R2", Action(1))])
+        ledger.add("R3", Dz("0"), Action(1), key(sub=2, bits="0"))
+        before = self.versions(ledger)
+        ledger.remove_key(key(sub=1))
+        after = self.versions(ledger)
+        assert after == {"R1": before["R1"] + 1, "R2": before["R2"] + 1,
+                         "R3": before["R3"]}
+        ledger.remove_key(key(sub=1))  # gone already: touches nothing
+        assert self.versions(ledger) == after
+
+    def test_remove_keys_where_touches_matching_paths_only(self):
+        ledger = FlowLedger()
+        ledger.add("R1", Dz("10"), Action(2), key(tree=1))
+        ledger.add("R2", Dz("11"), Action(2), key(tree=2, bits="11"))
+        before = self.versions(ledger)
+        ledger.remove_keys_where(tree_id=1)
+        assert self.versions(ledger) == {
+            "R1": before["R1"] + 1, "R2": before["R2"], "R3": 0,
+        }
+
+    def test_reads_do_not_touch(self):
+        ledger = FlowLedger()
+        ledger.add("R1", Dz("10"), Action(2), key())
+        before = self.versions(ledger)
+        ledger.trie("R1")
+        ledger.trie("R2")  # creates an empty trie
+        ledger.contributions("R1")
+        list(ledger.switches())
+        ledger.keys_for(tree_id=1)
+        ledger.has_path(key())
+        assert self.versions(ledger) == before

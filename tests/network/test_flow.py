@@ -144,6 +144,55 @@ class TestFlowTableInstall:
         assert len(table) == 0
 
 
+class TestVersion:
+    """``version`` moves on every mutation and on nothing else: the warm
+    verifier reuses what it knows about a table while it stands still."""
+
+    def test_install_new_and_replacement_bump(self):
+        table = FlowTable()
+        assert table.version == 0
+        table.install(entry("101", 2))
+        assert table.version == 1
+        table.install(entry("101", 2, 3))  # replacement
+        assert table.version == 2
+        table.install(entry("101", 2, 3))  # identical replacement
+        assert table.version == 3
+
+    def test_remove_and_clear_bump(self):
+        table = FlowTable()
+        e = entry("101", 2)
+        table.install(e)
+        table.install(entry("0", 1))
+        table.remove(e.match)
+        assert table.version == 3
+        table.clear()
+        assert table.version == 4
+
+    def test_failed_remove_does_not_bump(self):
+        table = FlowTable()
+        with pytest.raises(FlowTableError):
+            table.remove(dz_to_prefix(Dz("1")))
+        assert table.version == 0
+
+    def test_reads_and_counters_do_not_bump(self):
+        table = FlowTable()
+        e = entry("10", 2)
+        table.install(e)
+        before = table.version
+        address = dz_to_address(Dz("101"))
+        table.lookup(address)
+        table.lookup(dz_to_address(Dz("0")))  # a miss
+        table.best_match(address)
+        table.record_hit(e, 64, 1.0)
+        table.stats_for(e.match)
+        table.entries_with_stats()
+        table.entries()
+        table.get_dz(Dz("10"))
+        list(table.coarser_entries(e.match))
+        table.matching_entries(address)
+        assert table.version == before
+
+
 class TestLookup:
     def test_longest_prefix_wins(self):
         """The Fig. 3 R3 example: event dz=1001 matches flows dz=1 and

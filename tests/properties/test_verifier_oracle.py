@@ -1,4 +1,5 @@
-"""The near-linear verifier checks against the quadratic code they replaced.
+"""The near-linear verifier checks against the quadratic code they replaced,
+and the warm verifier against the cold one.
 
 ``check_shadowing`` probes each entry's coarser prefixes in the table's
 per-length buckets, ``desired_flows`` and ``_semantic_drift`` walk each
@@ -11,8 +12,14 @@ references order included, and ``desired_flows`` must match them in
 iteration order too, because ``diff_table`` mints cookies in that order.
 
 Deployments are drawn on the paper fat-tree and a ring, in both install
-modes, with churn (unsubscribes), corrupted priorities, and then every
+modes, with churn (unsubscribes), a link cut and its restore and a switch
+failure repaired by the orchestrator, corrupted priorities, and then every
 fault of :mod:`repro.analysis.faults` applied one after another.
+
+After every step the controller's warm :class:`Verifier` (the one the
+orchestrator runs) must return exactly the violations of a cold
+``verify_controller`` run, order included.  The draw skips some of those
+warm runs, so a warm run also has to catch up over several steps at once.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Mapping
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,13 +42,17 @@ from repro.analysis.invariants import (
     check_forwarding,
     check_shadowing,
 )
+from repro.analysis.verify import verify_controller
 from repro.controller.reconciler import desired_flows
 from repro.core.addressing import dz_to_address
 from repro.core.dz import Dz
 from repro.core.subscription import Advertisement, Filter, Subscription
+from repro.exceptions import ControllerError
 from repro.middleware.pleroma import Pleroma
 from repro.network.flow import Action, FlowEntry, FlowTable
 from repro.network.topology import paper_fat_tree, ring
+from repro.resilience.detector import FailureEvent
+from repro.resilience.orchestrator import RecoveryOrchestrator
 
 # ----------------------------------------------------------------------
 # reference implementations (the replaced code)
@@ -412,6 +424,23 @@ def corrupt_priorities(controller, corruptions: list[tuple[int, int]]) -> None:
         table.install(table.get(match).with_priority(priority))
 
 
+def switch_links(controller) -> list[tuple[str, str]]:
+    """The partition's switch-to-switch links, as sorted name pairs."""
+    topology = controller.topology
+    return sorted(
+        tuple(sorted((spec.a, spec.b)))
+        for spec in topology.links()
+        if topology.is_switch(spec.a) and topology.is_switch(spec.b)
+    )
+
+
+def assert_warm_matches_cold(controller, run_warm: bool = True) -> None:
+    """The controller's warm verifier reports what a cold run reports."""
+    if run_warm:
+        warm = controller.verifier.run().violations
+        assert warm == verify_controller(controller).violations
+
+
 def assert_matches_oracle(controller) -> None:
     assert check_shadowing(controller) == ref_check_shadowing(controller)
     for name in sorted(controller.partition):
@@ -446,24 +475,56 @@ class TestVerifierMatchesOracle:
             max_size=4,
         ),
         st.integers(min_value=0, max_value=2**16),
+        st.integers(min_value=0, max_value=63),
+        st.lists(st.booleans(), min_size=10, max_size=10),
     )
     def test_checks_match_references(
-        self, topology_name, install_mode, clients, leaving, corruptions, seed
+        self,
+        topology_name,
+        install_mode,
+        clients,
+        leaving,
+        corruptions,
+        seed,
+        victim,
+        warm_runs,
     ):
         middleware = deploy(topology_name, install_mode, clients)
         controller = middleware.controllers[0]
-        assert_matches_oracle(controller)
+        # the passes verify nothing themselves, so a skipped warm run
+        # leaves the repair for the next one to catch up on
+        orchestrator = RecoveryOrchestrator(controller, verify=False)
+        runs = iter(warm_runs)
+
+        def step_done() -> None:
+            assert_matches_oracle(controller)
+            assert_warm_matches_cold(controller, next(runs))
+
+        step_done()
         churn(middleware, leaving)
-        assert_matches_oracle(controller)
+        step_done()
+        links = switch_links(controller)
+        cut = links[victim % len(links)]
+        orchestrator.on_event(FailureEvent("port-down", cut, 0.0))
+        step_done()
+        orchestrator.on_event(FailureEvent("port-up", cut, 0.0))
+        step_done()
+        switches = sorted(controller.partition)
+        try:
+            orchestrator.switch_failed(switches[victim % len(switches)])
+        except ControllerError:
+            pass  # the survivors are split: the state is what it is
+        step_done()
         corrupt_priorities(controller, corruptions)
-        assert_matches_oracle(controller)
+        step_done()
         rng = random.Random(seed)
         for name in sorted(FAULT_INJECTORS):
             try:
                 FAULT_INJECTORS[name](controller, rng)
             except FaultInjectionError:
                 continue
-            assert_matches_oracle(controller)
+            step_done()
+        assert_warm_matches_cold(controller)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -480,6 +541,166 @@ class TestVerifierMatchesOracle:
         assert list(desired_flows(contributions).items()) == list(
             ref_desired_flows(contributions).items()
         )
+
+
+class TestWarmVerifier:
+    def test_planning_topology_change_alone_is_seen(self):
+        """No table, ledger entry or subscription moves: only a link leaves
+        the planning topology.  A flow still outputs on its port, and the
+        warm run must report that blackhole as the cold run does."""
+        middleware = deploy(
+            "fat-tree", "reconcile", [(0, True, 0, 1023), (5, False, 0, 1023)]
+        )
+        controller = middleware.controllers[0]
+        assert controller.verifier.run().ok
+        child, parent = next(
+            (name, neighbor)
+            for name in sorted(controller.partition)
+            for entry in controller.installed_table(name).entries()
+            for action in entry.sorted_actions()
+            if (neighbor := _port_map(controller, name).get(action.out_port))
+            in controller.partition
+        )
+        controller.topology.remove_link(child, parent)
+        warm = controller.verifier.run().violations
+        assert warm == verify_controller(controller).violations
+        bad_ports = [
+            v for v in warm if v.kind == "blackhole" and "port" in v.details
+        ]
+        assert bad_ports
+        assert {v.details["switch"] for v in bad_ports} <= {child, parent}
+
+    @pytest.mark.parametrize("install_mode", ["reconcile", "incremental"])
+    @pytest.mark.parametrize(
+        "corruption, kind",
+        [
+            ("priority", "shadowed_rule"),
+            ("ledger_only", "drift"),
+            ("table_only", "drift"),
+            ("partition_only", "misdelivery"),
+        ],
+    )
+    def test_change_between_warm_runs_is_seen(
+        self, install_mode, corruption, kind
+    ):
+        """One hand-made change between two warm runs, on one side of a
+        cache key only: the warm run must report what the cold run does."""
+        middleware = deploy(
+            "fat-tree",
+            install_mode,
+            [(0, True, 0, 1023), (3, False, 0, 700), (5, False, 100, 300)],
+        )
+        controller = middleware.controllers[0]
+        assert controller.verifier.run().ok
+        switch, entry = next(
+            (name, e)
+            for name in sorted(controller.partition)
+            for e in controller.installed_table(name).entries()
+            if e.dz.bits
+        )
+        table = controller.installed_table(switch)
+        if corruption == "priority":
+            table.install(FlowEntry.for_dz(entry.dz.child(0), entry.actions))
+            table.install(entry.with_priority(len(entry.dz) + 10))
+        elif corruption == "ledger_only":
+            controller.ledger.remove_keys_where(
+                sub_id=sorted(controller.subscriptions)[0]
+            )
+        elif corruption == "partition_only":
+            # a subscriber's switch leaves the partition: probes now exit
+            # there to no external subscriber
+            subscriber = controller.subscriptions[
+                sorted(controller.subscriptions)[0]
+            ]
+            controller.partition.discard(subscriber.endpoint.switch)
+        else:
+            port = max(controller.network.switches[switch].ports) + 1
+            table.install(entry.with_actions(entry.actions | {Action(port)}))
+        warm = controller.verifier.run().violations
+        assert warm == verify_controller(controller).violations
+        assert kind in {v.kind for v in warm}
+        if corruption == "partition_only":
+            # and back: replays that stopped at the border must go on
+            controller.partition.add(subscriber.endpoint.switch)
+            warm = controller.verifier.run().violations
+            assert warm == verify_controller(controller).violations
+            assert not warm
+
+    def test_loop_among_other_probes(self):
+        """A loop on one probe, with more probes after it."""
+        middleware = Pleroma(ring(4), dimensions=1, max_dz_length=6)
+        hosts = sorted(middleware.topology.hosts())
+        middleware.advertise(
+            hosts[0], Advertisement(filter=Filter.of(attr0=(0, 1023)))
+        )
+        middleware.subscribe(
+            hosts[2], Subscription(filter=Filter.of(attr0=(0, 300)))
+        )
+        middleware.subscribe(
+            hosts[3], Subscription(filter=Filter.of(attr0=(200, 1023)))
+        )
+        controller = middleware.controllers[0]
+        assert controller.verifier.run().ok
+        dz = min(
+            (key.dz for key in controller.ledger.keys_for()),
+            key=lambda d: (len(d.bits), d.bits),
+        )
+        cycle = ["R1", "R2", "R3", "R4", "R1"]
+        for here, there in zip(cycle, cycle[1:]):
+            port = controller.network.port(here, there)
+            controller.installed_table(here).install(
+                FlowEntry.for_dz(dz, {Action(port)})
+            )
+        warm = controller.verifier.run().violations
+        assert warm == verify_controller(controller).violations
+        assert "loop" in {v.kind for v in warm}
+        # the looping probe is the shortest, so others were replayed after it
+        assert len(controller.verifier.cache.replays) > 1
+
+    def test_unchanged_state_reuses_every_replay(self):
+        middleware = deploy(
+            "ring", "incremental", [(0, True, 0, 1023), (3, False, 100, 500)]
+        )
+        controller = middleware.controllers[0]
+        verifier = controller.verifier
+        verifier.run()
+        replays = dict(verifier.cache.replays)
+        drift = dict(verifier.cache.drift)
+        assert replays and drift
+        verifier.run()
+        assert all(
+            verifier.cache.replays[key] is trace
+            for key, trace in replays.items()
+        )
+        assert verifier.cache.drift == drift
+        # re-installing a switch's entries as they are moves its version:
+        # its drift is re-checked, the replays crossing it are kept
+        switch = max(
+            controller.partition,
+            key=lambda n: len(controller.installed_table(n)),
+        )
+        table = controller.installed_table(switch)
+        for entry in table.entries():
+            table.remove(entry.match)
+            table.install(entry)
+        crossing = [
+            key
+            for key, trace in replays.items()
+            if any(read[0] == switch for read in trace.tables_read)
+        ]
+        assert crossing
+        report = verifier.run()
+        assert report.violations == verify_controller(controller).violations
+        assert all(
+            verifier.cache.replays[key] is trace
+            for key, trace in replays.items()
+        )
+        assert verifier.cache.drift[switch] != drift[switch]
+
+    def test_one_warm_verifier_per_controller(self):
+        middleware = deploy("ring", "reconcile", [(0, True, 0, 1023)])
+        controller = middleware.controllers[0]
+        assert controller.verifier is controller.verifier
 
 
 class TestShadowingWitness:
