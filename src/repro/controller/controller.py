@@ -423,10 +423,11 @@ class PleromaController:
             state = SubscriptionState(sub_id, subscription, endpoint, dz_set)
             self.subscriptions[sub_id] = state
 
+            joined: dict[int, SpanningTree] = {}
             for dz_i in dz_set:
                 for tree in self.trees.overlapping(dz_i):
                     overlap = tree.dz_set.intersect_dz(dz_i)
-                    tree.join_subscriber(sub_id, endpoint, overlap)
+                    joined[tree.tree_id] = tree
                     for adv_id, member in tree.publishers.items():
                         pub_overlap = member.overlap.intersect_dz(dz_i)
                         if pub_overlap.is_empty:
@@ -437,6 +438,13 @@ class PleromaController:
                             state,
                             pub_overlap.intersect(overlap),
                         )
+            # One join per tree, with the union of its overlaps: those with
+            # the disjoint dz_i add up to ``DZ(t) ∩ dz_set``, so one
+            # intersection replaces a union per dz_i.
+            for tree in joined.values():
+                tree.join_subscriber(
+                    sub_id, endpoint, tree.dz_set.intersect(dz_set)
+                )
             # With no overlapping tree the subscription is "simply stored";
             # it stays in self.subscriptions and is re-checked via
             # _add_flow_mult_sub whenever trees change.

@@ -215,6 +215,29 @@ class SpatialIndexer:
             partial = _split(partial, box, k, max_len, final)
         return DzSet(map(Dz.trusted, final))
 
+    def encloses_matches(self, filt: Filter) -> bool:
+        """True iff :meth:`filter_to_dzset` of ``filt`` holds the maximal
+        dz of every event ``filt`` matches.
+
+        Normalisation is monotone (a subtraction and a division, each
+        correctly rounded), so an event inside the closed filter lands at
+        or above the normalised box's low edge and at or below the
+        normalised upper bound; and the decomposition keeps every cell
+        containing a point of the half-open box.  What can fail is the
+        open upper edge: on a continuous attribute (grain 0) bounded below
+        its domain's top, an event sitting on the bound normalises onto
+        the box's excluded edge.  So the check is, per constrained
+        dimension, that the normalised bound lies strictly inside.
+        """
+        box = filt.normalized_box(self.space)
+        for attr, (_low, high) in zip(self.space.attributes, box):
+            pred = filt.predicates.get(attr.name)
+            if pred is None or high >= 1.0 or pred.high < attr.low:
+                continue  # open to the top, or nothing in the domain matches
+            if not attr.normalize(pred.high) < high:
+                return False
+        return True
+
     def matches(self, dzset: DzSet, event: Event) -> bool:
         """True iff the event's maximal dz falls inside the DZ region.
 

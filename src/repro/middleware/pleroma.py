@@ -45,6 +45,67 @@ from repro.sim.engine import Simulator
 __all__ = ["Pleroma"]
 
 
+class _DeliveryIndex:
+    """One host's subscriptions, found by the dz their regions hold.
+
+    Delivery classification asks whether any of the host's subscriptions
+    matches an arriving event.  The controller already holds each
+    subscription's region (its ``DzSet``), and a region encloses every
+    event its filter matches (see
+    :meth:`~repro.core.spatial_index.SpatialIndexer.encloses_matches`),
+    so only subscriptions with a member that prefixes the event's dz can
+    match it.  The index maps member length -> member bits ->
+    subscriptions, and the probe looks up each length's prefix of the
+    event's dz.  A subscription whose region may miss some of its
+    matches (or that its controller does not hold) is tested on every
+    event.
+
+    The regions speak for the indexing that built them: :attr:`indexer`
+    is the controller's indexer at build time, and an event stamped
+    under any other indexer is classified by the full scan.
+    """
+
+    __slots__ = ("controller", "indexer", "always", "probes")
+
+    def __init__(
+        self, controller: PleromaController, subs: dict[int, Subscription]
+    ) -> None:
+        self.controller = controller
+        self.indexer = indexer = controller.indexer
+        states = controller.subscriptions
+        always: list[Subscription] = []
+        by_len: dict[int, dict[str, list[Subscription]]] = {}
+        for sub_id, sub in subs.items():
+            state = states.get(sub_id)
+            if state is None or not indexer.encloses_matches(sub.filter):
+                always.append(sub)
+                continue
+            for dz in state.dz_set:
+                by_len.setdefault(len(dz), {}).setdefault(
+                    dz.bits, []
+                ).append(sub)
+        self.always = tuple(always)
+        self.probes = tuple(sorted(by_len.items()))
+
+    def stale(self) -> bool:
+        """True once the controller re-indexed: the regions are gone."""
+        return self.controller.indexer is not self.indexer
+
+    def matched(self, event: Event, bits: str) -> bool:
+        """``any(s.matches(event) ...)`` over the host's subscriptions,
+        for an event whose maximal dz under :attr:`indexer` is ``bits``."""
+        for sub in self.always:
+            if sub.matches(event):
+                return True
+        for length, bucket in self.probes:
+            subs = bucket.get(bits[:length])
+            if subs is not None:
+                for sub in subs:
+                    if sub.matches(event):
+                        return True
+        return False
+
+
 class _DimselRecurrence:
     """Cancellation handle for periodic dimension selection."""
 
@@ -123,6 +184,9 @@ class Pleroma:
         self._dimsel_new_events = 0
         self._subscribers: dict[str, Subscriber] = {}
         self._host_subs: dict[str, dict[int, Subscription]] = {}
+        # host -> delivery index, built at the host's first delivery after
+        # its subscriptions changed
+        self._delivery_index: dict[str, _DeliveryIndex] = {}
         # one repair orchestrator per controller: failures reported by
         # fail_link/fail_switch and detector verdicts share it
         self._orchestrators = {
@@ -181,6 +245,7 @@ class Pleroma:
     ) -> SubscriptionState:
         state = self._controller_for(host).subscribe(host, subscription)
         self._host_subs.setdefault(host, {})[state.sub_id] = subscription
+        self._delivery_index.pop(host, None)
         return state
 
     def unsubscribe(self, host: str, sub_id: int) -> None:
@@ -189,6 +254,7 @@ class Pleroma:
         else:
             self.controllers[0].unsubscribe(sub_id)
         self._host_subs.get(host, {}).pop(sub_id, None)
+        self._delivery_index.pop(host, None)
 
     def unadvertise(self, host: str, adv_id: int) -> None:
         if self.federation is not None:
@@ -203,8 +269,9 @@ class Pleroma:
         """Send one event from ``host``, stamped with its maximal dz under
         the current indexing."""
         self._require_host(host)
-        dz = self.indexer.event_to_dz(event)
-        payload = EventPayload(event, dz, host, self.sim.now)
+        indexer = self.indexer
+        dz = indexer.event_to_dz(event)
+        payload = EventPayload(event, dz, host, self.sim.now, indexer)
         self.network.hosts[host].send(
             self.network.packet(
                 dz_to_address(dz), payload, event_packet_size(dz)
@@ -244,13 +311,25 @@ class Pleroma:
         return count
 
     def _make_delivery_handler(self, host: str):
+        indexes = self._delivery_index
+
         def handler(payload: EventPayload, packet: Packet, now: float) -> None:
-            subs = self._host_subs.get(host, {})
-            matched = any(s.matches(payload.event) for s in subs.values())
+            event = payload.event
+            index = indexes.get(host)
+            if index is None or index.stale():
+                index = indexes[host] = _DeliveryIndex(
+                    self._controller_for(host), self._host_subs.get(host, {})
+                )
+            if payload.indexer is index.indexer:
+                matched = index.matched(event, payload.dz.bits)
+            else:
+                # stamped under another indexing: the full scan
+                subs = self._host_subs.get(host, {})
+                matched = any(s.matches(event) for s in subs.values())
             self.metrics.on_delivery(
                 DeliveryRecord(
                     host=host,
-                    event=payload.event,
+                    event=event,
                     publish_time=payload.publish_time,
                     deliver_time=now,
                     matched=matched,
@@ -258,7 +337,7 @@ class Pleroma:
             )
             client = self._subscribers.get(host)
             if client is not None:
-                client._deliver(payload.event, now, matched)
+                client._deliver(event, now, matched)
 
         return handler
 

@@ -34,7 +34,12 @@ __all__ = [
     "FlowEntry",
     "FlowStats",
     "FlowTable",
+    "LOOKUP_MEMO_CAP",
 ]
+
+#: Most destination addresses one table's lookup memo holds; a full memo
+#: is dropped whole.  A 12-bit dz space has 4096 event addresses.
+LOOKUP_MEMO_CAP = 4096
 
 
 @dataclass(frozen=True, order=True)
@@ -176,6 +181,10 @@ class FlowTable:
     ``version`` counts the mutations (:meth:`install`, :meth:`remove`,
     :meth:`clear`); lookups and counter updates leave it alone.  The
     warm verifier keys what it remembers about a table on it.
+
+    :meth:`lookup` remembers its answer per destination address until the
+    version moves, and forgets everything once it holds
+    :data:`LOOKUP_MEMO_CAP` addresses.
     """
 
     def __init__(
@@ -195,6 +204,9 @@ class FlowTable:
         self.version = 0
         self.lookups = 0
         self.misses = 0
+        # destination address -> best_match, valid for ``_memo_version``
+        self._memo: dict[int, FlowEntry | None] = {}
+        self._memo_version = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -291,9 +303,26 @@ class FlowTable:
     # ------------------------------------------------------------------
     def lookup(self, address: int) -> FlowEntry | None:
         """TCAM match: the single best entry for a destination address,
-        counted in ``lookups``/``misses`` as a packet hitting the table."""
+        counted in ``lookups``/``misses`` as a packet hitting the table.
+
+        The answer is :meth:`best_match`'s, memoized per address: every
+        event of one dz carries the same address, so a hot table answers
+        from one dict probe.  The memo is dropped whenever ``version``
+        moves (every mutation of ``_by_len`` goes through :meth:`install`,
+        :meth:`remove` or :meth:`clear`, which move it) and when it is
+        full.
+        """
         self.lookups += 1
-        best = self.best_match(address)
+        memo = self._memo
+        if self._memo_version != self.version:
+            memo.clear()
+            self._memo_version = self.version
+        try:
+            best = memo[address]
+        except KeyError:
+            if len(memo) >= LOOKUP_MEMO_CAP:
+                memo.clear()
+            best = memo[address] = self.best_match(address)
         if best is None:
             self.misses += 1
         return best

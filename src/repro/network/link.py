@@ -212,24 +212,27 @@ class Link:
     # ------------------------------------------------------------------
     def transmit(self, sender: NetworkNode, packet: Packet) -> None:
         """Send a packet from ``sender`` to the far end of the link."""
+        if sender is self.a:
+            direction, receiver, far_port = self._dir_ab, self.b, self.b_port
+        elif sender is self.b:
+            direction, receiver, far_port = self._dir_ba, self.a, self.a_port
+        else:
+            raise TopologyError(
+                f"{sender.name} is not an endpoint of this link"
+            )
         flight = packet.flight
-        if not self.up:
+        if not (self._admin_up and self._oper_up):
             self._lost_down.inc()
-            if sender is self.a:
-                self._dir_ab.lost_packets += 1
-            elif sender is self.b:
-                self._dir_ba.lost_packets += 1
+            direction.lost_packets += 1
             if flight is not None:
-                receiver, _ = self.endpoint_for(sender)
                 flight.add(
                     packet.packet_id, "link_tx", sender.name,
                     drop="link-down", src=sender.name, dst=receiver.name,
                 )
             return
-        receiver, far_port = self.endpoint_for(sender)
-        direction = self._dir_ab if sender is self.a else self._dir_ba
+        now = self.sim.now
         serialization = packet.size_bytes * 8.0 / self.bandwidth_bps
-        start = max(self.sim.now, direction.busy_until)
+        start = max(now, direction.busy_until)
         direction.busy_until = start + serialization
         arrival = direction.busy_until + self.delay_s
         direction.packets.inc()
@@ -239,7 +242,7 @@ class Link:
             flight.add(
                 packet.packet_id, "link_tx", sender.name,
                 src=sender.name, dst=receiver.name,
-                queueing_s=start - self.sim.now,
+                queueing_s=start - now,
                 serialization_s=serialization,
                 propagation_s=self.delay_s,
                 arrival=arrival,

@@ -15,6 +15,7 @@ from repro.core.dz import Dz
 from repro.core.events import Event
 
 if TYPE_CHECKING:
+    from repro.core.spatial_index import SpatialIndexer
     from repro.obs.flight import FlightRecorder
 
 __all__ = ["Packet", "EventPayload", "event_packet_size"]
@@ -34,12 +35,21 @@ def event_packet_size(dz: Dz) -> int:
 
 @dataclass(frozen=True)
 class EventPayload:
-    """The application content of an event packet."""
+    """The application content of an event packet.
+
+    ``indexer`` is the spatial indexer that stamped ``dz`` (``None`` for
+    a hand-built payload): a receiver compares it with the indexing its
+    own subscription regions came from.  It is out of equality, repr and
+    wire size.
+    """
 
     event: Event
     dz: Dz
     publisher: str
     publish_time: float
+    indexer: "SpatialIndexer | None" = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass

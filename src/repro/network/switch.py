@@ -241,8 +241,11 @@ class Switch:
         # per-rule hardware counters (read out-of-band via FlowStatsRequest)
         self.table.record_hit(entry, packet.size_bytes, self.sim.now)
         delay = self.lookup_delay_s
-        if self.lookup_jitter_s:
-            delay += self._rng.uniform(0.0, self.lookup_jitter_s)
+        jitter = self.lookup_jitter_s
+        if jitter:
+            # bit-equal to ``uniform(0.0, jitter)``, which computes
+            # ``0.0 + (jitter - 0.0) * random()``
+            delay += jitter * self._rng.random()
         if flight is not None:
             flight.add(
                 packet.packet_id, "switch_recv", self.name,

@@ -108,28 +108,31 @@ class Simulator:
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> ScheduledEvent:
         """Run ``callback(*args)`` at absolute time ``time``."""
-        if time < self._now:
+        now = self._now
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at {time} before current time {self._now}"
+                f"cannot schedule at {time} before current time {now}"
             )
-        # Goes through the relative delay on purpose: ``now + (time - now)``
-        # can round differently from ``time``, and sim-time outputs depend
-        # on the rounding this engine has always used.
-        return self.schedule(time - self._now, callback, *args)
+        delay = time - now
+        if not delay < math.inf:
+            raise SimulationError(
+                f"delay must be finite and non-negative ({delay=})"
+            )
+        # Keyed at ``now + (time - now)``, not at ``time``: the two can
+        # round differently, and sim-time outputs depend on the rounding
+        # this engine has always used.
+        time = now + delay
+        seq = next(self._seq)
+        event = ScheduledEvent(time, seq, callback, args)
+        heapq.heappush(self._queue, (time, seq, event))
+        return event
 
     # ------------------------------------------------------------------
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        queue = self._queue
-        while queue:
-            time, _, event = heapq.heappop(queue)
-            if event.cancelled:
-                continue
-            self._now = time
-            self._processed += 1
-            event.callback(*event.args)
-            return True
-        return False
+        processed = self._processed
+        self.run(max_events=1)
+        return self._processed != processed
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Drain the event queue.
@@ -137,21 +140,30 @@ class Simulator:
         ``until`` stops the clock at an absolute time (events beyond it stay
         queued and ``now`` is advanced to ``until``); ``max_events`` bounds
         the number of executed callbacks (a runaway guard for tests).
+
+        This loop is the one dispatch path (:meth:`step` runs one event
+        through it): it pops and calls each event inline, so an event
+        costs a heap pop and a call, not a method call per event.
         """
         queue = self._queue
-        step = self.step
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
+        # ``executed`` counts up from 0 and never reaches -1
+        limit = -1 if max_events is None else max(max_events, 0)
         executed = 0
         while queue:
-            if max_events is not None and executed >= max_events:
+            if executed == limit:
                 return
-            head_time, _, head = queue[0]
-            if head.cancelled:
-                heapq.heappop(queue)
+            time, _, event = queue[0]
+            if event.cancelled:
+                heappop(queue)
                 continue
-            if until is not None and head_time > until:
-                self._now = max(self._now, until)
-                return
-            step()
+            if time > horizon:
+                break
+            heappop(queue)
+            self._now = time
+            self._processed += 1
+            event.callback(*event.args)
             executed += 1
         if until is not None:
             self._now = max(self._now, until)

@@ -1,6 +1,11 @@
 """Unit tests for the switch model beyond the fabric-level tests."""
 
+import random
+import zlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.addressing import dz_to_address
 from repro.core.dz import Dz
@@ -268,3 +273,40 @@ class TestFanoutHopForking:
         sim.run()
         assert first.hops == 2
         assert second.hops == 1
+
+
+class TestJitterDraw:
+    """The lookup jitter is drawn as ``jitter * rng.random()``, which is
+    bit-equal to the ``rng.uniform(0.0, jitter)`` it replaced (CPython's
+    ``uniform(a, b)`` is ``a + (b - a) * random()``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
+    )
+    def test_bit_equal_to_uniform(self, seed, jitter):
+        new, old = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert (jitter * new.random()).hex() == old.uniform(
+                0.0, jitter
+            ).hex()
+
+    def test_switch_delay_matches_uniform_draws(self):
+        """End to end: the forwarding delays a switch schedules are the
+        lookup delay plus the old draws from its name-seeded stream."""
+        sim = Simulator()
+        switch = Switch(sim, "S", lookup_delay_s=4e-6, lookup_jitter_s=1e-6)
+        sink = _Sink("T")
+        link = Link(sim, switch, 1, sink, 1)
+        switch.attach_link(1, link)
+        switch.table.install(FlowEntry.for_dz(Dz("1"), {Action(1)}))
+        reference = random.Random(zlib.crc32(b"S"))
+        for _ in range(10):
+            switch.receive(
+                Packet(dst_address=dz_to_address(Dz("1")), payload=None), 2
+            )
+            (time, _, _event), = sim._queue
+            want = sim.now + (4e-6 + reference.uniform(0.0, 1e-6))
+            assert time.hex() == want.hex()
+            sim.run()

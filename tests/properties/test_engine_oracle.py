@@ -263,3 +263,100 @@ def test_schedule_at_rounds_like_oracle():
     assert [new.schedule_at(t, lambda: None).time for t in times] == [
         old.schedule_at(t, lambda: None).time for t in times
     ]
+
+
+# ----------------------------------------------------------------------
+# the inlined dispatch loop: ``run`` pops and calls each event itself and
+# ``step`` is ``run(max_events=1)``
+# ----------------------------------------------------------------------
+
+_bounded = st.one_of(
+    st.tuples(st.just("step")),
+    st.tuples(
+        st.just("run"),
+        st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.25, 1.0, 2.5])),
+        st.one_of(st.none(), st.integers(min_value=-2, max_value=3)),
+    ),
+    st.tuples(st.just("cancel_head")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(_delays, _children), min_size=1, max_size=12),
+    st.lists(_bounded, min_size=1, max_size=12),
+)
+def test_bounded_dispatch_matches_oracle(seeds, program):
+    """``until`` (with the clock parked at it), ``max_events`` (including
+    0 and negative budgets) and cancelled events at the head of the
+    queue: ``step`` and ``run`` agree with the oracle after every call."""
+    runs = [_ProgramRun(fast.Simulator()), _ProgramRun(Simulator())]
+    for run in runs:
+        for i, (delay, children) in enumerate(seeds):
+            run.apply(i, ("schedule", delay, children))
+    for op in program:
+        results = []
+        for run in runs:
+            if op[0] == "cancel_head":
+                # cancel whichever live event fires next
+                live = [h for h in run.handles if not h.cancelled]
+                if live:
+                    min(live, key=lambda h: (h.time, h.seq)).cancel()
+                results.append(None)
+            elif op[0] == "step":
+                results.append(run.sim.step())
+            else:
+                results.append(run.sim.run(until=op[1], max_events=op[2]))
+        assert results[0] == results[1]
+        assert runs[0].state() == runs[1].state()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e3),
+    st.lists(st.floats(min_value=0.0, max_value=2e3), min_size=1, max_size=8),
+)
+def test_schedule_at_rounding_matches_oracle(now, offsets):
+    """``schedule_at`` no longer goes through ``schedule`` but keys each
+    event at ``now + (time - now)``, as the oracle does."""
+    new, old = fast.Simulator(), Simulator()
+    for sim in (new, old):
+        sim.schedule(now, lambda: None)
+        sim.run()
+    assert new.now == old.now
+    for offset in offsets:
+        at = new.now + offset
+        got = new.schedule_at(at, lambda: None).time
+        want = old.schedule_at(at, lambda: None).time
+        assert got.hex() == want.hex()
+
+
+def test_schedule_at_rejects_past_and_nonfinite_times():
+    sim = fast.Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    for bad in (0.5, float("nan"), float("inf")):
+        try:
+            sim.schedule_at(bad, lambda: None)
+        except SimulationError:
+            continue
+        raise AssertionError(f"schedule_at({bad}) was accepted")
+    assert sim.pending_events == 0
+
+
+def test_step_is_one_bounded_run():
+    """``step`` skips cancelled heads, runs exactly one event, ignores
+    the horizon and reports an empty queue with False."""
+    sim = fast.Simulator()
+    fired = []
+    first = sim.schedule(1.0, fired.append, 1)
+    sim.schedule(2.0, fired.append, 2)
+    sim.schedule(3.0, fired.append, 3)
+    first.cancel()
+    assert sim.step() is True
+    assert fired == [2] and sim.now == 2.0 and sim.processed_events == 1
+    sim.run(max_events=0)
+    sim.run(max_events=-1)
+    assert fired == [2]
+    assert sim.step() is True and fired == [2, 3]
+    assert sim.step() is False and sim.now == 3.0
