@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from conftest import print_table, scaled
 
+from repro.controller.controller import RequestStats
 from repro.middleware.pleroma import Pleroma
 from repro.network.topology import paper_fat_tree
 from repro.workloads.scenarios import paper_zipfian
@@ -28,7 +29,9 @@ PROBES = scaled(150, 400)
 DIMENSIONS = 4
 
 
-def run_once(installed: int) -> dict:
+def probe(installed: int) -> tuple[Pleroma, list[RequestStats]]:
+    """Deploy ``installed`` subscriptions, then subscribe the ``PROBES``
+    new ones; the deployment and the probes' request stats."""
     topo = paper_fat_tree()
     workload = paper_zipfian(dimensions=DIMENSIONS, seed=29)
     middleware = Pleroma(topo, space=workload.space, max_dz_length=16)
@@ -44,6 +47,11 @@ def run_once(installed: int) -> dict:
     probe_stats = [
         s for s in controller.request_log[mark:] if s.kind == "subscribe"
     ]
+    return middleware, probe_stats
+
+
+def run_once(installed: int) -> dict:
+    _, probe_stats = probe(installed)
     delays = [s.reconfiguration_delay_s for s in probe_stats]
     mods = [s.flow_mods for s in probe_stats]
     mean_delay = sum(delays) / len(delays)

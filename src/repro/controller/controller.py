@@ -211,6 +211,9 @@ class PleromaController:
         # Meant for tests and debugging, not production.
         self.verify_after_each_request = verify_after_each_request
         self._verifier: "Verifier | None" = None
+        # (tree, publisher, subscriber) -> hops, alive only while a
+        # subscribe runs: no tree changes structure meanwhile
+        self._routes: dict[tuple[int, int, int], list[tuple[str, Action]]] | None = None
         self._request_depth = 0
         self.coarsen_events: list[tuple[int, int]] = []  # (old, new) lengths
         self._reindexing = False
@@ -423,28 +426,46 @@ class PleromaController:
             state = SubscriptionState(sub_id, subscription, endpoint, dz_set)
             self.subscriptions[sub_id] = state
 
-            joined: dict[int, SpanningTree] = {}
-            for dz_i in dz_set:
-                for tree in self.trees.overlapping(dz_i):
-                    overlap = tree.dz_set.intersect_dz(dz_i)
-                    joined[tree.tree_id] = tree
-                    for adv_id, member in tree.publishers.items():
-                        pub_overlap = member.overlap.intersect_dz(dz_i)
-                        if pub_overlap.is_empty:
-                            continue
-                        self._install_path(
-                            tree,
-                            self.advertisements[adv_id],
-                            state,
-                            pub_overlap.intersect(overlap),
-                        )
-            # One join per tree, with the union of its overlaps: those with
-            # the disjoint dz_i add up to ``DZ(t) ∩ dz_set``, so one
-            # intersection replaces a union per dz_i.
-            for tree in joined.values():
-                tree.join_subscriber(
-                    sub_id, endpoint, tree.dz_set.intersect(dz_set)
-                )
+            # Nothing a subscribe installs changes a tree's structure, region
+            # or publishers, so the work that depends only on the tree and
+            # the publisher is done once per request, not once per dz_i:
+            # ``joined`` keeps each overlapping tree with DZ(t) ∩ dz_set,
+            # ``regions`` each (tree, publisher) with DZ^t(p) ∩ DZ(t) ∩
+            # dz_set, and ``_route`` memoizes each route.  The dz_i are
+            # disjoint members of dz_set, so a path's region is the part of
+            # its (tree, publisher) region inside dz_i: the same canonical
+            # set as DZ^t(p) ∩ dz_i ∩ (DZ(t) ∩ dz_i).  Nothing outlives the
+            # request, so no later request is served a stale route.
+            joined: dict[int, tuple[SpanningTree, DzSet]] = {}
+            regions: dict[tuple[int, int], DzSet] = {}
+            self._routes = {}
+            try:
+                for dz_i in dz_set:
+                    for tree in self.trees.overlapping(dz_i):
+                        tree_id = tree.tree_id
+                        if tree_id not in joined:
+                            joined[tree_id] = (tree, tree.dz_set.intersect(dz_set))
+                        for adv_id, member in tree.publishers.items():
+                            region = regions.get((tree_id, adv_id))
+                            if region is None:
+                                region = regions[tree_id, adv_id] = (
+                                    member.overlap.intersect(joined[tree_id][1])
+                                )
+                            pub_overlap = region.intersect_dz(dz_i)
+                            if pub_overlap.is_empty:
+                                continue
+                            self._install_path(
+                                tree,
+                                self.advertisements[adv_id],
+                                state,
+                                pub_overlap,
+                            )
+            finally:
+                self._routes = None
+            # One join per tree, with the union of its overlaps with the
+            # disjoint dz_i: ``DZ(t) ∩ dz_set``.
+            for tree, overlap in joined.values():
+                tree.join_subscriber(sub_id, endpoint, overlap)
             # With no overlapping tree the subscription is "simply stored";
             # it stays in self.subscriptions and is re-checked via
             # _add_flow_mult_sub whenever trees change.
@@ -649,15 +670,9 @@ class PleromaController:
         ``overlap`` travel from the publisher to the subscriber on ``tree``."""
         if overlap.is_empty:
             return
-        pub_ep, sub_ep = adv.endpoint, sub.endpoint
-        if pub_ep.name == sub_ep.name:
+        hops = self._route(tree, adv, sub)
+        if not hops:
             return  # same host or same border gateway: nothing to route
-        route = tree.path_between(pub_ep.switch, sub_ep.switch)
-        hops = [
-            (switch, Action(self.network.port(switch, nxt)))
-            for switch, nxt in zip(route, route[1:])
-        ]
-        hops.append((route[-1], sub_ep.terminal_action()))
         changed: dict[str, set[Dz]] = {}
         for dz in overlap:
             key = PathKey(tree.tree_id, adv.adv_id, sub.sub_id, dz)
@@ -681,6 +696,35 @@ class PleromaController:
                     changed.setdefault(switch, set()).add(dz)
         if self.install_mode == "reconcile":
             self._patch(changed)
+
+    def _route(
+        self,
+        tree: SpanningTree,
+        adv: AdvertisementState,
+        sub: SubscriptionState,
+    ) -> list[tuple[str, Action]]:
+        """The ``(switch, action)`` hops from the publisher to the
+        subscriber on ``tree``; empty when both are the same endpoint.
+        Inside a subscribe, each route is built once."""
+        key = (tree.tree_id, adv.adv_id, sub.sub_id)
+        routes = self._routes
+        if routes is not None:
+            hops = routes.get(key)
+            if hops is not None:
+                return hops
+        pub_ep, sub_ep = adv.endpoint, sub.endpoint
+        hops = []
+        if pub_ep.name != sub_ep.name:
+            route = tree.path_between(pub_ep.switch, sub_ep.switch)
+            port = self.network.port
+            hops = [
+                (switch, Action(port(switch, nxt)))
+                for switch, nxt in zip(route, route[1:])
+            ]
+            hops.append((route[-1], sub_ep.terminal_action()))
+        if routes is not None:
+            routes[key] = hops
+        return hops
 
     def _patch(self, changed: dict[str, set[Dz]]) -> None:
         """Incrementally repair switch tables after contribution changes.
@@ -829,6 +873,10 @@ class PleromaController:
             raise
         finally:
             self._request_depth -= 1
+            if not self._request_depth:
+                # once per request: what a restructure withdraws it mostly
+                # re-installs, on the same trie nodes
+                self.ledger.prune()
         flow_mods = self.total_flow_mods - mods_before
         per_switch = {
             name: count - per_switch_before.get(name, 0)

@@ -27,11 +27,24 @@ same ``(dz, action)`` pair, and the pair disappears only when the last
 holder leaves — the bookkeeping behind "flows are deleted or downgraded
 depending upon other subscribers reachable via a particular switch"
 (Sec. 3.3.3).
+
+Mutations do not walk from the root when they need not.  The trie keeps an
+index from bits to every node that holds counts, so ``add`` of a dz already
+held and every ``remove`` are one dict probe; only ``add`` of a new dz
+walks, creating the nodes it lacks.  A node whose last holder leaves while
+it has no children is noted, and ``prune`` later drops it together with
+the chain of count-less, single-child ancestors that only led to it, so
+after a prune the trie holds no subtree without contributions.  The
+controller prunes once per request, not on every removal: a tree
+restructure withdraws a tree's paths and re-installs most of them at
+once, and pruning in between would only re-create the same nodes.  A
+changed dz that was pruned is simply not reached by ``desired_closure``,
+which yields ``(bits, None)`` for it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterator
+from collections.abc import Iterator, Set
 
 from repro.core.dz import Dz
 from repro.network.flow import Action
@@ -56,34 +69,30 @@ class DzTrie:
     def __init__(self) -> None:
         self._root = _Node()
         self._size = 0  # number of distinct (dz, action) pairs
-
-    # ------------------------------------------------------------------
-    # navigation
-    # ------------------------------------------------------------------
-    def _walk(self, bits: str) -> _Node | None:
-        node = self._root
-        try:
-            for bit in bits:
-                node = node.children[bit]
-        except KeyError:
-            return None
-        return node
+        # bits -> node, for exactly the nodes whose ``counts`` is set
+        self._held: dict[str, _Node] = {}
+        # bits of the nodes removals left childless and count-less since
+        # the last prune
+        self._emptied: list[str] = []
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, dz: Dz, action: Action) -> bool:
         """Add one holder of ``(dz, action)``; True if the pair is new."""
-        node = self._root
-        for bit in dz.bits:
-            children = node.children
-            child = children.get(bit)
-            if child is None:
-                child = children[bit] = _Node()
-            node = child
+        bits = dz.bits
+        node = self._held.get(bits)
+        if node is None:
+            node = self._root
+            for bit in bits:
+                children = node.children
+                child = children.get(bit)
+                if child is None:
+                    child = children[bit] = _Node()
+                node = child
+            node.counts = {}
+            self._held[bits] = node
         counts = node.counts
-        if counts is None:
-            counts = node.counts = {}
         held = counts[action] = counts.get(action, 0) + 1
         if held == 1:
             self._size += 1
@@ -92,18 +101,49 @@ class DzTrie:
 
     def remove(self, dz: Dz, action: Action) -> bool:
         """Drop one holder; True if the pair disappeared entirely."""
-        node = self._walk(dz.bits)
-        if node is None or node.counts is None or action not in node.counts:
+        bits = dz.bits
+        node = self._held.get(bits)
+        if node is None:
             return False
         counts = node.counts
-        held = counts[action] = counts[action] - 1
-        if held:
+        held = counts.get(action)
+        if held is None:
+            return False
+        if held > 1:
+            counts[action] = held - 1
             return False
         del counts[action]
+        self._size -= 1
         if not counts:
             node.counts = None
-        self._size -= 1
+            del self._held[bits]
+            if bits and not node.children:
+                self._emptied.append(bits)
         return True
+
+    def prune(self) -> None:
+        """Drop every subtree the removals since the last call left
+        without contributions.
+
+        Each emptied leaf goes with the chain of count-less, single-child
+        ancestors that only led to it.  A leaf that was re-added or gained
+        a child meanwhile stays, and one already cut with another's chain
+        is skipped.
+        """
+        root = self._root
+        for bits in self._emptied:
+            node: _Node | None = root
+            keep, cut = root, bits[0]  # the root always stays
+            for bit in bits:
+                if node.counts or len(node.children) > 1:
+                    keep, cut = node, bit
+                node = node.children.get(bit)
+                if node is None:
+                    break  # cut with an earlier leaf's chain
+            else:
+                if node.counts is None and not node.children:
+                    del keep.children[cut]
+        self._emptied.clear()
 
     # ------------------------------------------------------------------
     # queries
@@ -136,21 +176,22 @@ class DzTrie:
         return frozenset(cumulative)
 
     def desired_closure(
-        self, changed: Collection[str]
+        self, changed: Set[str]
     ) -> Iterator[tuple[str, frozenset[Action] | None]]:
         """``(bits, desired entry)`` for every dz a change can move.
 
-        ``changed`` holds the bits of the dz whose contributions changed;
-        each was contributed at some point, and the trie never drops a
-        node, so each is reached.  Yields each of them and every finer dz
-        holding contributions, once and in bits order, with the value
-        :meth:`desired_entry` gives.
+        ``changed`` holds the bits of the dz whose contributions changed.
+        Yields each of them and every finer dz holding contributions, once
+        and in bits order, with the value :meth:`desired_entry` gives.  A
+        changed dz whose last holder left may have been pruned: the walk
+        does not reach it, and it yields ``None`` in its place in the
+        order.
         """
-        outer: str | None = None
-        for bits in sorted(changed):
-            if outer is not None and bits.startswith(outer):
-                continue  # already visited in the subtree of ``outer``
-            outer = bits
+        pending = sorted(changed)
+        count = len(pending)
+        i = 0
+        while i < count:
+            bits = pending[i]
             above: frozenset[Action] = frozenset()
             node: _Node | None = self._root
             for bit in bits:
@@ -161,13 +202,23 @@ class DzTrie:
                     break
             if node is None:
                 yield bits, None  # no contribution at or below ``bits``
+                i += 1
                 continue
+            # The subtree is visited depth-first, "0" before "1": in bits
+            # order.  Every changed dz sorting before the node visited
+            # lies below ``bits`` and was not reached.
             stack = [(bits, node, above)]
             while stack:
                 here, node, above = stack.pop()
+                while i < count and pending[i] < here:
+                    yield pending[i], None
+                    i += 1
+                is_changed = i < count and pending[i] == here
+                if is_changed:
+                    i += 1
                 counts = node.counts
                 if not counts:
-                    if here in changed:
+                    if is_changed:
                         yield here, None
                 # A non-empty ``above`` means some strictly coarser dz is
                 # contributed; if it already implies everything here, no
@@ -185,6 +236,9 @@ class DzTrie:
                     child = children.get("0")
                     if child is not None:
                         stack.append((here + "0", child, above))
+            while i < count and pending[i].startswith(bits):
+                yield pending[i], None
+                i += 1
 
     def items(self) -> Iterator[tuple[Dz, frozenset[Action]]]:
         """All contributed dz with their aggregated action sets."""

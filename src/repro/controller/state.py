@@ -19,8 +19,9 @@ the departing path's contributions and recompute each affected switch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Collection, Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 from repro.controller.dztrie import DzTrie
 from repro.core.dz import Dz
@@ -52,9 +53,11 @@ class Endpoint:
         return Action(self.port, set_dest=self.address)
 
 
-@dataclass(frozen=True)
-class PathKey:
-    """Identity of one installed path: (tree, publisher, subscriber, dz)."""
+class PathKey(NamedTuple):
+    """Identity of one installed path: (tree, publisher, subscriber, dz).
+
+    A named tuple, so the ledger's dict probes hash and compare it in C.
+    """
 
     tree_id: int
     adv_id: int
@@ -183,6 +186,13 @@ class FlowLedger:
                 changed.setdefault(switch, set()).update(dzs)
         return changed
 
+    def prune(self) -> None:
+        """Drop the trie nodes that removals left without contributions
+        (:meth:`DzTrie.prune` on every switch).  Moves no version: no
+        contribution changes."""
+        for trie in self._tries.values():
+            trie.prune()
+
     # ------------------------------------------------------------------
     def version(self, switch: str) -> int:
         """How many mutations have touched ``switch`` (0 if none)."""
@@ -190,7 +200,10 @@ class FlowLedger:
 
     def trie(self, switch: str) -> DzTrie:
         """The switch's contribution trie (empty if nothing installed)."""
-        return self._tries.setdefault(switch, DzTrie())
+        trie = self._tries.get(switch)
+        if trie is None:
+            trie = self._tries[switch] = DzTrie()
+        return trie
 
     def contributions(self, switch: str) -> Mapping[Dz, frozenset[Action]]:
         """Aggregated contributions of one switch: dz -> action set."""

@@ -142,7 +142,7 @@ class FlowEntry:
         return replace(self, priority=priority)
 
     def __str__(self) -> str:
-        acts = ", ".join(str(a) for a in sorted(self.actions))
+        acts = ", ".join(str(a) for a in self.sorted_actions())
         return f"[{self.match} prio={self.priority} -> {{{acts}}}]"
 
 
@@ -161,7 +161,6 @@ class FlowStats:
     packets: int = 0
     bytes: int = 0
     created_at: float = 0.0
-    last_hit_at: float | None = None
 
 
 class FlowTable:
@@ -277,13 +276,13 @@ class FlowTable:
     def record_hit(self, entry: FlowEntry, size_bytes: int, now: float) -> None:
         """Account one TCAM hit against the matched rule's counters.
 
-        Hot path (called per forwarded packet): one dict probe and three
-        field writes.
+        Hot path (called per forwarded packet): one dict probe and two
+        field writes.  ``now`` is the hit's sim time; no counter the
+        OpenFlow flow-stats reply carries depends on it.
         """
         stats = self._stats[entry.match.key]
         stats.packets += 1
         stats.bytes += size_bytes
-        stats.last_hit_at = now
 
     def stats_for(self, match: MulticastPrefix) -> FlowStats | None:
         """The counters of the rule installed for exactly ``match``."""

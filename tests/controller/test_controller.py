@@ -14,7 +14,7 @@ from repro.core.events import Event
 from repro.core.subscription import Advertisement, Subscription
 from repro.exceptions import ControllerError
 from repro.network.packet import Packet
-from repro.network.topology import line, paper_fat_tree
+from repro.network.topology import line, paper_fat_tree, ring
 from tests.helpers import make_system
 
 # With a 1-dimensional paper schema over [0, 1024), value v maps to the
@@ -138,6 +138,78 @@ class TestEndToEndDelivery:
         system.publish("h3", Event.of(attr0=900))
         system.run()
         assert len(system.delivered_events("h2")) == 2
+
+
+class TestRouteAfterRestructure:
+    """A subscribe builds its routes afresh: after the tree is restructured,
+    the next subscribe from the same host routes on the new structure."""
+
+    def test_second_subscribe_routes_on_new_structure(self):
+        from repro.analysis.verify import verify_controller
+
+        system = make_system(ring(6))
+        controller = system.controller
+        controller.advertise("h1", Advertisement.of(attr0=FULL))
+        controller.subscribe("h4", Subscription.of(attr0=LOW))
+        (tree,) = controller.trees
+        pub = controller.endpoint_for_host("h1").switch
+        sub = controller.endpoint_for_host("h4").switch
+        before = tree.path_between(pub, sub)
+        for root in sorted(controller.partition):
+            parents = controller.trees.tree_builder(
+                controller.topology, controller.partition, root
+            )
+            controller.restructure_tree(tree, root, parents)
+            if tree.path_between(pub, sub) != before:
+                break
+        after = tree.path_between(pub, sub)
+        assert after != before
+
+        state = controller.subscribe("h4", Subscription.of(attr0=MID))
+        keys = controller.ledger.keys_for(sub_id=state.sub_id)
+        assert keys
+        for key in keys:
+            hops = controller.ledger._by_key[key]
+            assert [switch for switch, _, _ in hops] == after
+        assert controller._routes is None  # no route outlives its request
+        assert verify_controller(controller).ok
+        system.publish("h1", Event.of(attr0=600))
+        system.run()
+        assert len(system.delivered_events("h4")) == 1
+
+    def test_trie_pruned_once_per_request(self):
+        """A restructure inside a request re-installs on the very trie
+        nodes it emptied; what a request leaves empty is pruned at its
+        end."""
+        system = make_system(ring(6))
+        controller = system.controller
+        controller.advertise("h1", Advertisement.of(attr0=FULL))
+        controller.subscribe("h4", Subscription.of(attr0=LOW))
+        leaving = controller.subscribe("h3", Subscription.of(attr0=MID))
+        (tree,) = controller.trees
+        # every route starts on the publisher's switch
+        trie = controller.ledger.trie(controller.endpoint_for_host("h1").switch)
+        held = dict(trie._held)
+        assert held
+        with controller._request("restructure"):
+            controller.restructure_tree(tree, tree.root, dict(tree.parents))
+        assert trie._held.keys() == held.keys()
+        assert all(trie._held[bits] is node for bits, node in held.items())
+
+        controller.unsubscribe(leaving.sub_id)
+        for name in sorted(controller.partition):
+            stack = [controller.ledger.trie(name)._root]
+            while stack:
+                node = stack.pop()
+                for child in node.children.values():
+                    assert trie_subtree_holds(child), name
+                    stack.append(child)
+
+
+def trie_subtree_holds(node) -> bool:
+    return bool(node.counts) or any(
+        trie_subtree_holds(child) for child in node.children.values()
+    )
 
 
 class TestPendingSubscriptions:

@@ -3,7 +3,12 @@
 from repro.controller.dztrie import DzTrie
 from repro.core.dz import ROOT, Dz
 from repro.network.flow import Action
-from tests.helpers import trie_actions_at, trie_cumulative, trie_descendants
+from tests.helpers import (
+    trie_actions_at,
+    trie_cumulative,
+    trie_descendants,
+    trie_node,
+)
 
 
 class TestRefCounting:
@@ -127,6 +132,43 @@ class TestQueries:
         ]
         assert list(trie.desired_closure({"100"})) == [("100", None)]
 
+    def test_desired_closure_reports_pruned_dz(self):
+        """A changed dz whose last holder left and whose node was pruned
+        still yields ``None``, in bits order, so its stale entry is
+        removed."""
+        trie = DzTrie()
+        trie.add(ROOT, Action(1))
+        trie.add(Dz("0"), Action(2))
+        trie.remove(Dz("0"), Action(2))
+        trie.prune()
+        assert trie_node(trie, "0") is None
+        assert list(trie.desired_closure({"", "0"})) == [
+            ("", {Action(1)}),
+            ("0", None),
+        ]
+        # pruned between two reached siblings' subtrees
+        trie.add(Dz("1"), Action(2))
+        trie.add(Dz("10"), Action(3))
+        trie.add(Dz("11"), Action(3))
+        trie.remove(Dz("10"), Action(3))
+        trie.prune()
+        assert list(trie.desired_closure({"1", "10"})) == [
+            ("1", {Action(1), Action(2)}),
+            ("10", None),
+            ("11", {Action(1), Action(2), Action(3)}),
+        ]
+        # nested changed dz, both pruned
+        trie.add(Dz("01"), Action(2))
+        trie.add(Dz("011"), Action(3))
+        trie.remove(Dz("011"), Action(3))
+        trie.remove(Dz("01"), Action(2))
+        trie.prune()
+        assert trie_node(trie, "01") is None
+        assert list(trie.desired_closure({"01", "011"})) == [
+            ("01", None),
+            ("011", None),
+        ]
+
     def test_desired_closure_below_coarser_contribution(self):
         trie = DzTrie()
         trie.add(ROOT, Action(1))
@@ -182,6 +224,93 @@ class TestEdgeCases:
         assert trie.desired_entry(Dz("10")) == {Action(2)}  # one holder left
         trie.remove(Dz("10"), Action(2))
         assert trie.desired_entry(Dz("10")) is None  # last holder gone
+
+
+class TestPruning:
+    def test_prune_drops_an_emptied_leaf_with_its_chain(self):
+        trie = DzTrie()
+        trie.add(Dz("1"), Action(1))
+        trie.add(Dz("1011"), Action(2))
+        trie.add(Dz("100"), Action(2))
+        trie.remove(Dz("1011"), Action(2))
+        assert trie_node(trie, "1011") is not None  # only noted so far
+        trie.prune()
+        # "101" only led to "1011"; "10" still leads to "100"
+        assert trie_node(trie, "101") is None
+        assert trie_node(trie, "10") is not None
+        trie.remove(Dz("100"), Action(2))
+        trie.prune()
+        assert trie_node(trie, "10") is None
+        assert trie_node(trie, "1").children == {}
+        assert trie.contributions() == {Dz("1"): frozenset({Action(1)})}
+
+    def test_interior_node_keeps_its_subtree(self):
+        trie = DzTrie()
+        trie.add(Dz("10"), Action(1))
+        trie.add(Dz("101"), Action(2))
+        trie.remove(Dz("10"), Action(1))
+        trie.prune()
+        node = trie_node(trie, "10")
+        assert node is not None and node.counts is None
+        assert trie.desired_entry(Dz("101")) == {Action(2)}
+
+    def test_a_held_pair_is_not_pruned(self):
+        trie = DzTrie()
+        trie.add(Dz("10"), Action(1))
+        trie.add(Dz("10"), Action(2))
+        trie.remove(Dz("10"), Action(1))
+        assert trie_actions_at(trie, Dz("10")) == {Action(2)}
+
+    def test_pruning_empties_the_trie(self):
+        trie = DzTrie()
+        for bits in ("0", "01", "0110", "1"):
+            trie.add(Dz(bits), Action(1))
+        for bits in ("0110", "1", "0", "01"):
+            assert trie.remove(Dz(bits), Action(1)) is True
+        trie.prune()
+        assert trie._root.children == {} and trie._held == {}
+        assert len(trie) == 0
+
+    def test_root_dz_is_never_pruned(self):
+        trie = DzTrie()
+        trie.add(ROOT, Action(1))
+        trie.remove(ROOT, Action(1))
+        trie.prune()
+        assert trie._root.counts is None
+        assert trie.add(ROOT, Action(1)) is True
+        assert trie.desired_entry(ROOT) == {Action(1)}
+
+    def test_re_add_through_a_pruned_chain(self):
+        trie = DzTrie()
+        trie.add(Dz("0101"), Action(1))
+        trie.remove(Dz("0101"), Action(1))
+        trie.prune()
+        assert trie._root.children == {}
+        assert trie.add(Dz("0101"), Action(2)) is True
+        assert trie.desired_entry(Dz("0101")) == {Action(2)}
+        assert list(trie.desired_closure({"0"})) == [
+            ("0", None),
+            ("0101", {Action(2)}),
+        ]
+
+    def test_a_leaf_re_added_before_the_prune_keeps_its_node(self):
+        trie = DzTrie()
+        trie.add(Dz("0101"), Action(1))
+        node = trie_node(trie, "0101")
+        trie.remove(Dz("0101"), Action(1))
+        trie.add(Dz("0101"), Action(2))
+        trie.prune()
+        assert trie_node(trie, "0101") is node
+        assert trie_actions_at(trie, Dz("0101")) == {Action(2)}
+
+    def test_an_emptied_leaf_that_gained_a_child_stays(self):
+        trie = DzTrie()
+        trie.add(Dz("01"), Action(1))
+        trie.remove(Dz("01"), Action(1))
+        trie.add(Dz("011"), Action(2))
+        trie.prune()
+        assert trie_node(trie, "01") is not None
+        assert trie.contributions() == {Dz("011"): frozenset({Action(2)})}
 
 
 class TestUnsubscribeDowngrade:

@@ -162,6 +162,17 @@ class TestLedgerVersion:
             "R1": before["R1"] + 1, "R2": before["R2"], "R3": 0,
         }
 
+    def test_prune_drops_emptied_nodes_and_touches_nothing(self):
+        ledger = FlowLedger()
+        ledger.add("R1", Dz("10"), Action(2), key())
+        ledger.add("R2", Dz("11"), Action(2), key(tree=2, bits="11"))
+        ledger.remove_key(key())
+        before = self.versions(ledger)
+        ledger.prune()
+        assert self.versions(ledger) == before
+        assert ledger.trie("R1")._root.children == {}
+        assert ledger.contributions("R2") == {Dz("11"): frozenset({Action(2)})}
+
     def test_reads_do_not_touch(self):
         ledger = FlowLedger()
         ledger.add("R1", Dz("10"), Action(2), key())

@@ -151,9 +151,19 @@ def make_system(
 # table patching used before the carry-down closure walk, kept to pin that
 # walk and to test the trie's bookkeeping.
 # ----------------------------------------------------------------------
+def trie_node(trie: DzTrie, bits: str):
+    """The trie node at ``bits``, or None if the trie has no such node."""
+    node = trie._root
+    for bit in bits:
+        node = node.children.get(bit)
+        if node is None:
+            return None
+    return node
+
+
 def trie_actions_at(trie: DzTrie, dz: Dz) -> frozenset[Action]:
     """The actions contributed at exactly ``dz``."""
-    node = trie._walk(dz.bits)
+    node = trie_node(trie, dz.bits)
     return frozenset(node.counts or ()) if node is not None else frozenset()
 
 
@@ -171,7 +181,7 @@ def trie_cumulative(trie: DzTrie, dz: Dz) -> frozenset[Action]:
 
 def trie_descendants(trie: DzTrie, dz: Dz) -> Iterator[Dz]:
     """All strictly finer dz holding contributions."""
-    start = trie._walk(dz.bits)
+    start = trie_node(trie, dz.bits)
     if start is None:
         return
     stack = [(dz.bits + bit, child) for bit, child in start.children.items()]

@@ -72,6 +72,16 @@ class TestFlowEntry:
         # cached: repeated calls return the same tuple object
         assert e.sorted_actions() is e.sorted_actions()
 
+    def test_str_with_plain_and_rewrite_action_on_one_port(self):
+        """``set_dest`` ``None`` and an address cannot be compared, so the
+        text must not sort the raw actions (it did, and raised)."""
+        e = FlowEntry.for_dz(Dz("1"), {Action(3), Action(3, set_dest=5)})
+        assert str(e).endswith("prio=1 -> {out:3, set-dst=0x5,out:3}]")
+
+    def test_str_lists_actions_in_sorted_order(self):
+        e = FlowEntry.for_dz(Dz("10"), {Action(7), Action(2), Action(5)})
+        assert str(e).endswith("prio=2 -> {out:2, out:5, out:7}]")
+
 
 class TestFlowTableInstall:
     def test_install_and_get(self):

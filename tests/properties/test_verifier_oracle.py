@@ -28,7 +28,7 @@ import random
 from collections.abc import Iterator, Mapping
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.faults import FAULT_INJECTORS, FaultInjectionError
@@ -477,6 +477,25 @@ class TestVerifierMatchesOracle:
         st.integers(min_value=0, max_value=2**16),
         st.integers(min_value=0, max_value=63),
         st.lists(st.booleans(), min_size=10, max_size=10),
+    )
+    # a corrupted entry holding a plain and a rewrite action on one port:
+    # the shadowing message prints it, and FlowEntry's text once sorted
+    # the raw actions (None against an address) and raised
+    @example(
+        topology_name="ring",
+        install_mode="reconcile",
+        clients=[
+            (0, False, 0, 304),
+            (0, True, 4, 172),
+            (1, False, 56, 264),
+            (3, True, 248, 772),
+            (5, False, 256, 764),
+        ],
+        leaving=[],
+        corruptions=[(28, 5)],
+        seed=288,
+        victim=20,
+        warm_runs=[False] * 10,
     )
     def test_checks_match_references(
         self,
