@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from conftest import print_table, scaled
 
-from repro.analysis.fpr import assign_round_robin, evaluate_fpr
+from repro.analysis.fpr import (
+    FprReport,
+    HostAssignment,
+    assign_round_robin,
+    evaluate_fpr,
+)
 from repro.core.spatial_index import SpatialIndexer
 from repro.middleware.metrics import summarize
 from repro.workloads.scenarios import paper_uniform, paper_zipfian
@@ -30,7 +35,10 @@ DIMENSIONS = 3
 WIDTH = 0.25
 
 
-def run_once(model: str, sub_count: int, dz_length: int) -> float:
+def evaluate_point(
+    model: str, sub_count: int, dz_length: int
+) -> tuple[HostAssignment, FprReport]:
+    """One table row: the host regions and the delivery counts."""
     workload = (
         paper_uniform(dimensions=DIMENSIONS, seed=17, width_fraction=WIDTH)
         if model == "uniform"
@@ -42,8 +50,11 @@ def run_once(model: str, sub_count: int, dz_length: int) -> float:
     assignment = assign_round_robin(
         workload.subscriptions(sub_count), HOSTS, indexer
     )
-    report = evaluate_fpr(assignment, workload.events(EVENTS), indexer)
-    return report.fpr_percent
+    return assignment, evaluate_fpr(assignment, workload.events(EVENTS), indexer)
+
+
+def run_once(model: str, sub_count: int, dz_length: int) -> float:
+    return evaluate_point(model, sub_count, dz_length)[1].fpr_percent
 
 
 def test_fig7d_fpr_vs_dz_length(benchmark):

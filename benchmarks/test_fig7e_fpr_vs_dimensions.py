@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from conftest import print_table, scaled
 
-from repro.analysis.fpr import assign_round_robin, evaluate_fpr
+from repro.analysis.fpr import (
+    FprReport,
+    HostAssignment,
+    assign_round_robin,
+    evaluate_fpr,
+)
 from repro.core.spatial_index import SpatialIndexer
 from repro.dimsel.selection import select_dimensions
 from repro.workloads.scenarios import zipfian_type
@@ -26,7 +31,10 @@ HOSTS = 8
 DZ_BUDGET = 14  # total dz bits available, shared across indexed dimensions
 
 
-def run_type(type_id: int) -> list[tuple[int, float]]:
+def evaluate_type(
+    type_id: int,
+) -> list[tuple[int, HostAssignment, FprReport]]:
+    """One workload type's rows: per k, the host regions and the counts."""
     workload = zipfian_type(type_id, seed=23)
     subs = workload.subscriptions(SUBSCRIPTIONS)
     training = workload.events(TRAINING_EVENTS)
@@ -40,8 +48,14 @@ def run_type(type_id: int) -> list[tuple[int, float]]:
         )
         assignment = assign_round_robin(subs, HOSTS, indexer)
         report = evaluate_fpr(assignment, evaluation, indexer)
-        results.append((k, report.fpr_percent))
+        results.append((k, assignment, report))
     return results
+
+
+def run_type(type_id: int) -> list[tuple[int, float]]:
+    return [
+        (k, report.fpr_percent) for k, _, report in evaluate_type(type_id)
+    ]
 
 
 def test_fig7e_fpr_vs_selected_dimensions(benchmark):

@@ -207,7 +207,7 @@ def test_telemetry_counters_overhead(monkeypatch):
     counted = _forward_rig()
     uncounted = _forward_rig()
     monkeypatch.setattr(
-        uncounted[2].table, "record_hit", lambda entry, size, now: None
+        uncounted[2].table, "record_hit", lambda entry, size: None
     )
 
     ratio, t_uncounted, t_counted = _paired_median_ratio(uncounted, counted)

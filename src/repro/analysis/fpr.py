@@ -57,14 +57,11 @@ def assign_round_robin(
         raise WorkloadError("need at least one host")
     if not subscriptions:
         raise WorkloadError("need at least one subscription")
-    per_host: list[list[Subscription]] = [[] for _ in range(hosts)]
-    regions: list[DzSet] = [DzSet(frozenset()) for _ in range(hosts)]
-    for i, sub in enumerate(subscriptions):
-        host = i % hosts
-        per_host[host].append(sub)
-        regions[host] = regions[host].union(
-            indexer.filter_to_dzset(sub.filter)
-        )
+    per_host = [list(subscriptions[host::hosts]) for host in range(hosts)]
+    regions = [
+        DzSet.union_all(indexer.filter_to_dzset(sub.filter) for sub in subs)
+        for subs in per_host
+    ]
     return HostAssignment(subscriptions=per_host, regions=regions)
 
 

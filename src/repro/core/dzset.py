@@ -40,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import FrozenInstanceError
+from itertools import chain
 from operator import attrgetter
 from typing import Any, NoReturn
 
@@ -317,6 +318,17 @@ class DzSet:
             pos = bisect_left(bits, m.bits + "2", i)  # skip members inside m
         copy(pos, len(run))
         return DzSet._from_run(kept)
+
+    @classmethod
+    def union_all(cls, sets: Iterable["DzSet"]) -> "DzSet":
+        """Region union of many sets in one sort and one stack pass.
+
+        Equal to folding :meth:`union` over ``sets``: canonical form is
+        semantic, and the stack pass drops covered members and merges
+        sibling pairs of any sorted input.
+        """
+        members = chain.from_iterable(dzset._run for dzset in sets)
+        return cls._from_run(_reduce(sorted(members, key=_bits_of)))
 
     def subtract_dz(self, dz: Dz) -> "DzSet":
         """The part of this region outside the subspace ``dz``."""

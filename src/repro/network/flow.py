@@ -273,12 +273,12 @@ class FlowTable:
     # ------------------------------------------------------------------
     # per-rule statistics
     # ------------------------------------------------------------------
-    def record_hit(self, entry: FlowEntry, size_bytes: int, now: float) -> None:
+    def record_hit(self, entry: FlowEntry, size_bytes: int) -> None:
         """Account one TCAM hit against the matched rule's counters.
 
         Hot path (called per forwarded packet): one dict probe and two
-        field writes.  ``now`` is the hit's sim time; no counter the
-        OpenFlow flow-stats reply carries depends on it.
+        field writes.  No counter the OpenFlow flow-stats reply carries
+        depends on the hit's sim time, so none is passed.
         """
         stats = self._stats[entry.match.key]
         stats.packets += 1

@@ -239,7 +239,7 @@ class Switch:
                 )
             return
         # per-rule hardware counters (read out-of-band via FlowStatsRequest)
-        self.table.record_hit(entry, packet.size_bytes, self.sim.now)
+        self.table.record_hit(entry, packet.size_bytes)
         delay = self.lookup_delay_s
         jitter = self.lookup_jitter_s
         if jitter:

@@ -130,6 +130,36 @@ class TestFilterDecomposition:
         with pytest.raises(SpatialIndexError):
             fig2_indexer.filter_to_dzset(Filter.of(), max_len=0)
 
+    def test_max_len_beyond_exact_halving(self, fig2_space):
+        """Past 53 halvings of one dimension, cell bounds round: at k=2
+        the limit is 106 bits, for the indexer and for ``max_len``."""
+        SpatialIndexer(fig2_space, max_dz_length=106)
+        with pytest.raises(SpatialIndexError):
+            SpatialIndexer(fig2_space, max_dz_length=107)
+        with pytest.raises(SpatialIndexError):
+            SpatialIndexer(
+                EventSpace.of(Attribute("A", 0, 1)), max_dz_length=54
+            )
+        indexer = SpatialIndexer(fig2_space, max_dz_length=8)
+        region = indexer.filter_to_dzset(Filter.of(A=(10, 20)), max_len=106)
+        assert all(len(dz) <= 106 for dz in region)
+        with pytest.raises(SpatialIndexError):
+            indexer.filter_to_dzset(Filter.of(A=(10, 20)), max_len=107)
+        assert len(indexer.point_to_dz((0.1, 0.2), length=106)) == 106
+        with pytest.raises(SpatialIndexError):
+            indexer.point_to_dz((0.1, 0.2), length=107)
+
+    def test_exact_regime_points_follow_binary_expansion(self, fig2_space):
+        """Within the limit, ``point_to_dz`` gives each coordinate's exact
+        binary expansion, bit ``j`` from coordinate ``j mod k``."""
+        indexer = SpatialIndexer(fig2_space, max_dz_length=106)
+        point = (0.1, 1.0 - 2.0 ** -53)
+        expansions = [
+            format(int(c * 2 ** 53), "053b") for c in point  # exact scaling
+        ]
+        interleaved = "".join(a + b for a, b in zip(*expansions))
+        assert indexer.point_to_dz(point).bits == interleaved
+
     def test_bad_parameters(self, fig2_space):
         with pytest.raises(SpatialIndexError):
             SpatialIndexer(fig2_space, max_dz_length=0)

@@ -193,7 +193,7 @@ class TestVersion:
         table.lookup(address)
         table.lookup(dz_to_address(Dz("0")))  # a miss
         table.best_match(address)
-        table.record_hit(e, 64, 1.0)
+        table.record_hit(e, 64)
         table.stats_for(e.match)
         table.entries_with_stats()
         table.entries()

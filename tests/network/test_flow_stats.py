@@ -43,8 +43,8 @@ class TestFlowStats:
         table, _ = clocked_table
         e = entry("10", 1)
         table.install(e)
-        table.record_hit(e, 100, 1.0)
-        table.record_hit(e, 250, 2.0)
+        table.record_hit(e, 100)
+        table.record_hit(e, 250)
         stats = table.stats_for(e.match)
         assert stats.packets == 2
         assert stats.bytes == 350
@@ -57,7 +57,7 @@ class TestFlowStats:
         table, clock = clocked_table
         e = entry("10", 1)
         table.install(e)
-        table.record_hit(e, 100, 1.0)
+        table.record_hit(e, 100)
         clock["now"] = 5.0
         replacement = entry("10", 2)
         table.install(replacement)
@@ -69,7 +69,7 @@ class TestFlowStats:
         table, _ = clocked_table
         e = entry("10", 1)
         table.install(e)
-        table.record_hit(e, 100, 1.0)
+        table.record_hit(e, 100)
         table.remove(e.match)
         assert table.stats_for(e.match) is None
         # reinstalling the same match starts a fresh counter

@@ -86,7 +86,7 @@ class TestFlowStats:
         e = _install_and_blast(sim, net, packets=2)
         channel.send("R1", FlowStatsRequest())
         sim.run()
-        net.switches["R1"].table.record_hit(e, 1, sim.now)  # after snapshot
+        net.switches["R1"].table.record_hit(e, 1)  # after snapshot
         reply = _reply_of(channel, FlowStatsReply)
         assert reply.entries[0].packet_count == 2
 

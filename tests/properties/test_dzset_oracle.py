@@ -249,6 +249,18 @@ class TestCanonicalForm:
             left.union(right), _canonicalize(left.members | right.members)
         )
 
+    @given(st.lists(raw_members(), max_size=6))
+    def test_union_all_matches_folded_union(self, items):
+        sets = [DzSet.of(*members) for members in items]
+        folded = DzSet()
+        for s in sets:
+            folded = folded.union(s)
+        assert DzSet.union_all(sets)._bits == folded._bits
+        assert_matches(
+            DzSet.union_all(sets),
+            _canonicalize(m for s in sets for m in s.members),
+        )
+
     @settings(max_examples=300)
     @given(split_tilings())
     def test_union_completing_subtrees(self, pair):

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.analysis.fpr import FprReport, assign_round_robin, evaluate_fpr
+from repro.core.dzset import DzSet
 from repro.core.events import Event, EventSpace
 from repro.core.spatial_index import SpatialIndexer
 from repro.core.subscription import Subscription
 from repro.exceptions import WorkloadError
+from repro.workloads.scenarios import paper_zipfian
 
 
 @pytest.fixture
@@ -21,6 +23,23 @@ class TestAssignment:
         assert [len(g) for g in assignment.subscriptions] == [3, 2]
         assert len(assignment.regions) == 2
         assert not assignment.regions[0].is_empty
+
+    @pytest.mark.parametrize("hosts", [1, 3, 8])
+    @pytest.mark.parametrize("max_cells", [4, 64, 256])
+    def test_regions_equal_incremental_union(self, hosts, max_cells):
+        """Each host's region, built once from its members' dz, is the
+        fold of pairwise unions over its subscriptions' DZ sets."""
+        workload = paper_zipfian(dimensions=3, seed=17, width_fraction=0.25)
+        indexer = SpatialIndexer(
+            workload.space, max_dz_length=15, max_cells=max_cells
+        )
+        subs = workload.subscriptions(40)
+        assignment = assign_round_robin(subs, hosts, indexer)
+        for host, region in enumerate(assignment.regions):
+            folded = DzSet()
+            for sub in subs[host::hosts]:
+                folded = folded.union(indexer.filter_to_dzset(sub.filter))
+            assert region._bits == folded._bits
 
     def test_validation(self, indexer):
         with pytest.raises(WorkloadError):
