@@ -509,22 +509,53 @@ class PleromaController:
     ) -> None:
         """Re-deploy ``tree`` on a new structure: same DZ and members.
 
-        The one primitive behind every tree repair and reroute: withdraw
-        the tree's paths, swap in ``root``/``parents``, and re-install the
-        paths of every publisher still active.  Structures are planned by
-        :class:`repro.resilience.repair.RepairPlanner` (failures) or
+        The one primitive behind every tree repair and reroute.  It swaps
+        in ``root``/``parents`` and routes every path the tree's active
+        publishers and the stored subscriptions want on it, in
+        ``_add_flow_mult_sub``'s order.  Only the paths whose hops moved or
+        that are no longer wanted leave the ledger, and only the new or
+        moved ones enter it.  The tables are then brought to the ledger in
+        one pass over every (switch, dz) on the wanted routes, plus the
+        pairs the removals dropped.  Unchanged routes are patched too: a
+        switch that crashed and came back holds a cold table the ledger
+        still credits.  So the flow-mods are the real table difference, and
+        a re-deploy that routes every path as before onto warm tables issues
+        none and moves no ledger or table version.  Structures are planned
+        by :class:`repro.resilience.repair.RepairPlanner` (failures) or
         :meth:`reroute_tree_around_edge` (overload).
         """
-        changed = self.ledger.remove_keys_where(tree_id=tree.tree_id)
+        tree_id = tree.tree_id
+        ledger = self.ledger
+        current = ledger.routes(tree_id)
         tree.root = root
         tree.replace_structure(parents)
-        self._withdraw(changed)
+        wanted: dict[PathKey, list[tuple[str, Action]]] = {}
+        changed: dict[str, set[Dz]] = {}
         for adv_id, member in sorted(tree.publishers.items()):
             adv = self.advertisements.get(adv_id)
             if adv is None:
                 tree.leave_publisher(adv_id)
                 continue
-            self._add_flow_mult_sub(tree, adv, member.overlap)
+            for sub in self.subscriptions.values():
+                overlap = member.overlap.intersect(sub.dz_set)
+                if overlap.is_empty:
+                    continue
+                tree.join_subscriber(sub.sub_id, sub.endpoint, overlap)
+                hops = self._route(tree, adv, sub)
+                if not hops:
+                    continue
+                for dz in overlap:
+                    wanted[PathKey(tree_id, adv_id, sub.sub_id, dz)] = hops
+                for switch, _action in hops:
+                    changed.setdefault(switch, set()).update(overlap)
+        for key, hops in current.items():
+            if wanted.get(key) != hops:
+                for switch, dzs in ledger.remove_key(key).items():
+                    changed.setdefault(switch, set()).update(dzs)
+        for key, hops in wanted.items():
+            if current.get(key) != hops:
+                ledger.add_route(key, hops)
+        self._withdraw(changed)
 
     def reroute_tree_around_edge(
         self, tree_id: int, a: str, b: str
@@ -874,8 +905,8 @@ class PleromaController:
         finally:
             self._request_depth -= 1
             if not self._request_depth:
-                # once per request: what a restructure withdraws it mostly
-                # re-installs, on the same trie nodes
+                # once per request: what a merge or a moved route
+                # withdraws is mostly re-installed on the same trie nodes
                 self.ledger.prune()
         flow_mods = self.total_flow_mods - mods_before
         per_switch = {

@@ -35,9 +35,10 @@ walks, creating the nodes it lacks.  A node whose last holder leaves while
 it has no children is noted, and ``prune`` later drops it together with
 the chain of count-less, single-child ancestors that only led to it, so
 after a prune the trie holds no subtree without contributions.  The
-controller prunes once per request, not on every removal: a tree
-restructure withdraws a tree's paths and re-installs most of them at
-once, and pruning in between would only re-create the same nodes.  A
+controller prunes once per request, not on every removal: a tree merge
+withdraws its trees' paths and re-installs most of them at once, as a
+restructure does with the paths whose route moved, and pruning in
+between would only re-create the same nodes.  A
 changed dz that was pruned is simply not reached by ``desired_closure``,
 which yields ``(bits, None)`` for it.
 """

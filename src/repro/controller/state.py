@@ -239,6 +239,15 @@ class FlowLedger:
             and (sub_id is None or key.sub_id == sub_id)
         ]
 
+    def routes(self, tree_id: int) -> dict[PathKey, list[tuple[str, Action]]]:
+        """Each path of tree ``tree_id`` with its ``(switch, action)``
+        hops, in the order the keys entered the ledger."""
+        by_key = self._by_key
+        return {
+            key: [(switch, action) for switch, _dz, action in by_key[key]]
+            for key in self._by_tree.get(tree_id, ())
+        }
+
     def has_path(self, key: PathKey) -> bool:
         return key in self._by_key
 

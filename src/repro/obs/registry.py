@@ -142,10 +142,18 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
-        return self._counters.setdefault(_key(name, labels), Counter())
+        key = _key(name, labels)
+        found = self._counters.get(key)
+        if found is None:
+            found = self._counters[key] = Counter()
+        return found
 
     def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._gauges.setdefault(_key(name, labels), Gauge())
+        key = _key(name, labels)
+        found = self._gauges.get(key)
+        if found is None:
+            found = self._gauges[key] = Gauge()
+        return found
 
     def histogram(
         self,

@@ -58,7 +58,7 @@ from repro.network.openflow import (
     TableStatsReply,
     TableStatsRequest,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Gauge, MetricsRegistry
 from repro.obs.samplers import PeriodicSampler
 
 __all__ = ["StatsPoller", "SwitchTelemetry", "reconcile_with_oracle"]
@@ -149,6 +149,11 @@ class StatsPoller(PeriodicSampler):
         self.heavy_hitters: list[dict] = []
         self.port_loss: list[dict] = []
         self._peak_rates: dict[str, float] = {}
+        # memos: a flow match's dz string, and the gauges each dz and
+        # each (switch, port) sets at every round
+        self._dz_names: dict[tuple[int, int], str] = {}
+        self._dz_gauges: dict[str, tuple[Gauge, Gauge]] = {}
+        self._port_gauges: dict[tuple[str, int], tuple[Gauge, Gauge]] = {}
         #: called as listener(now) after each completed poll round —
         #: the alert engine subscribes here.
         self.round_listeners: list[Callable[[float], None]] = []
@@ -306,11 +311,14 @@ class StatsPoller(PeriodicSampler):
         """
         packets: dict[str, int] = {}
         rates: dict[str, float] = {}
+        dz_names = self._dz_names
         for name in self._targets:
             view = self.views[name]
             window = view.flow_window_s()
             for key, entry in view.flows.items():
-                dz = str(prefix_to_dz(entry.match))
+                dz = dz_names.get(key)
+                if dz is None:
+                    dz = dz_names[key] = str(prefix_to_dz(entry.match))
                 if entry.packet_count > packets.get(dz, -1):
                     packets[dz] = entry.packet_count
                 if window:
@@ -325,12 +333,14 @@ class StatsPoller(PeriodicSampler):
             rate = rates.get(dz, 0.0)
             if rate > self._peak_rates.get(dz, 0.0):
                 self._peak_rates[dz] = rate
-            self.registry.gauge(
-                "telemetry.subspace_packets", dz=dz
-            ).set(float(packets[dz]))
-            self.registry.gauge(
-                "telemetry.subspace_rate_pps", dz=dz
-            ).set(rate)
+            gauges = self._dz_gauges.get(dz)
+            if gauges is None:
+                gauges = self._dz_gauges[dz] = (
+                    self.registry.gauge("telemetry.subspace_packets", dz=dz),
+                    self.registry.gauge("telemetry.subspace_rate_pps", dz=dz),
+                )
+            gauges[0].set(float(packets[dz]))
+            gauges[1].set(rate)
         ranked = sorted(
             packets, key=lambda dz: (-packets[dz], dz)
         )[: self.top_k]
@@ -372,12 +382,18 @@ class StatsPoller(PeriodicSampler):
                     if window and prev is not None
                     else 0.0
                 )
-                self.registry.gauge(
-                    "telemetry.port_loss_pps", port=str(port), switch=name
-                ).set(loss_pps)
-                self.registry.gauge(
-                    "telemetry.port_tx_dropped", port=str(port), switch=name
-                ).set(float(entry.tx_dropped))
+                gauges = self._port_gauges.get((name, port))
+                if gauges is None:
+                    gauges = self._port_gauges[name, port] = (
+                        self.registry.gauge(
+                            "telemetry.port_loss_pps", port=str(port), switch=name
+                        ),
+                        self.registry.gauge(
+                            "telemetry.port_tx_dropped", port=str(port), switch=name
+                        ),
+                    )
+                gauges[0].set(loss_pps)
+                gauges[1].set(float(entry.tx_dropped))
                 peer = self.port_peers.get((name, port))
                 skew = None
                 if peer is not None and peer[2]:

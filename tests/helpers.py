@@ -192,3 +192,27 @@ def trie_descendants(trie: DzTrie, dz: Dz) -> Iterator[Dz]:
         stack.extend(
             (bits + bit, child) for bit, child in node.children.items()
         )
+
+
+def table_contents(network: Network) -> dict[str, dict]:
+    """Every switch's flow table as ``match -> (priority, actions)``:
+    what forwarding reads, without the cookies."""
+    return {
+        name: {
+            entry.match: (entry.priority, entry.actions)
+            for entry in switch.table
+        }
+        for name, switch in network.switches.items()
+    }
+
+
+def table_difference(before: dict[str, dict], after: dict[str, dict]) -> int:
+    """Flow-mods needed to take the ``before`` tables to ``after``: one
+    per entry added, removed or changed."""
+    mods = 0
+    for name in before.keys() | after.keys():
+        old, new = before.get(name, {}), after.get(name, {})
+        mods += sum(
+            old.get(match) != new.get(match) for match in old.keys() | new.keys()
+        )
+    return mods

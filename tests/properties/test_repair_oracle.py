@@ -1,20 +1,27 @@
-"""Failure repair and rerouting checked against the code they replaced.
+"""Failure repair, rerouting and restructuring checked against the code
+they replaced.
 
 ``Pleroma.fail_link`` / ``fail_switch`` now run one pass of the owning
 controller's :class:`~repro.resilience.orchestrator.RecoveryOrchestrator`,
 and ``reroute_tree_around_edge`` plans with the configured tree builder
 over the planning topology minus the edge.  Both re-deploy through
-``PleromaController.restructure_tree``.  The references below are the
-controller's former ``handle_link_failure`` / ``handle_switch_failure`` /
-``_rebuild_trees`` and the reroute with its hand-rolled shortest-path
-tree (and a copy of the topology's equal-cost tie-break it used), kept
-verbatim apart from being lifted out of the class.
+``PleromaController.restructure_tree``, which diffs routes and patches
+only what moved.  The references below are the controller's former
+``handle_link_failure`` / ``handle_switch_failure`` / ``_rebuild_trees``,
+the reroute with its hand-rolled shortest-path tree (and a copy of the
+topology's equal-cost tie-break it used), and the former
+``restructure_tree``, which withdrew every path of the tree and
+re-installed it; all kept verbatim apart from being lifted out of the
+class.
 
 Two twin deployments get the same drawn clients; one takes the old path,
-the other the new, and the per-switch flow tables, tree roots and
-parents, ``total_flow_mods``, client counts and the request log's
-``(kind, flow_mods)`` must all agree.  Each twin numbers requests and
-trees from its own simulator, so trees are compared with their ids.
+the other the new.  The per-switch flow tables ``(match, priority,
+actions)``, tree roots, parents and members, client counts, ledger
+contributions and the request log's kinds must all agree.  Flow-mods may
+not: the new twin issues exactly the difference between its tables
+before and after, and never more than the reference.  Each twin numbers
+requests and trees from its own simulator, so trees are compared with
+their ids.
 """
 
 from __future__ import annotations
@@ -29,11 +36,14 @@ from repro.controller.controller import (
     PleromaController,
     RerouteOutcome,
 )
+from repro.controller.reconciler import desired_flows
 from repro.controller.tree import SpanningTree
+from repro.core.addressing import dz_to_prefix
 from repro.core.subscription import Advertisement, Filter, Subscription
 from repro.exceptions import ControllerError
 from repro.middleware.pleroma import Pleroma
 from repro.network.topology import paper_fat_tree, ring
+from tests.helpers import table_contents, table_difference
 
 # ----------------------------------------------------------------------
 # reference implementations (the replaced code)
@@ -117,6 +127,21 @@ def ref_reroute_tree_around_edge(
     return RerouteOutcome.REROUTED
 
 
+def ref_restructure_tree(
+    self: PleromaController, tree: SpanningTree, root: str, parents: dict[str, str]
+) -> None:
+    changed = self.ledger.remove_keys_where(tree_id=tree.tree_id)
+    tree.root = root
+    tree.replace_structure(parents)
+    self._withdraw(changed)
+    for adv_id, member in sorted(tree.publishers.items()):
+        adv = self.advertisements.get(adv_id)
+        if adv is None:
+            tree.leave_publisher(adv_id)
+            continue
+        self._add_flow_mult_sub(tree, adv, member.overlap)
+
+
 def ref_rebuild_trees(
     self: PleromaController, trees: list[SpanningTree]
 ) -> None:
@@ -181,9 +206,14 @@ clients_strategy = st.lists(
 )
 
 
-def deploy(topology_name: str, clients) -> Pleroma:
+def deploy(
+    topology_name: str, clients, install_mode: str = "reconcile"
+) -> Pleroma:
     middleware = Pleroma(
-        TOPOLOGIES[topology_name](), dimensions=1, max_dz_length=8
+        TOPOLOGIES[topology_name](),
+        dimensions=1,
+        max_dz_length=8,
+        install_mode=install_mode,
     )
     hosts = middleware.topology.hosts()
     for host_index, publishes, low, width in clients:
@@ -210,40 +240,90 @@ def trees_by_id(controller: PleromaController) -> list[SpanningTree]:
 
 
 def observe(middleware: Pleroma) -> dict:
-    """Everything the twins must agree on."""
+    """Everything the twins must agree on, but the tables."""
     controller = middleware.controllers[0]
+    ledger = controller.ledger
     return {
-        "tables": {
-            name: sorted(
-                (
-                    entry.match.prefix_len,
-                    entry.match.network,
-                    entry.priority,
-                    tuple(
-                        (a.out_port, a.set_dest)
-                        for a in entry.sorted_actions()
-                    ),
-                )
-                for entry in switch.table
-            )
-            for name, switch in sorted(middleware.network.switches.items())
-        },
         "trees": [
             (
                 tree.tree_id,
                 tree.root,
                 sorted(tree.parents.items()),
                 str(tree.dz_set),
-                sorted(m.endpoint.name for m in tree.publishers.values()),
-                sorted(m.endpoint.name for m in tree.subscribers.values()),
+                sorted(
+                    (adv_id, m.endpoint.name, str(m.overlap))
+                    for adv_id, m in tree.publishers.items()
+                ),
+                sorted(
+                    (sub_id, m.endpoint.name, str(m.overlap))
+                    for sub_id, m in tree.subscribers.items()
+                ),
             )
             for tree in trees_by_id(controller)
         ],
         "partition": sorted(controller.partition),
-        "total_flow_mods": controller.total_flow_mods,
         "subscriptions": len(controller.subscriptions),
         "advertisements": len(controller.advertisements),
-        "request_log": [(s.kind, s.flow_mods) for s in controller.request_log],
+        "requests": [s.kind for s in controller.request_log],
+        "contributions": {
+            name: ledger.contributions(name) for name in sorted(ledger.switches())
+        },
+        "routes": {
+            tree.tree_id: ledger.routes(tree.tree_id)
+            for tree in trees_by_id(controller)
+        },
+    }
+
+
+def twin_step(
+    new: Pleroma, old: Pleroma, new_step, old_step
+) -> tuple[int, int, int]:
+    """Apply one step to each twin and require them to agree.
+
+    Returns the flow-mods each twin issued and the difference between the
+    new twin's tables before and after.  In reconcile mode the tables must
+    be equal, and each request of the new twin may cost no more flow-mods
+    than the reference's.  In incremental mode a restructure reconciles
+    every switch its tree routes over, where the reference only adds the
+    paths' flows case by case, so a table may differ from the reference's
+    only by being the switch's desired table.
+    """
+    new_c, old_c = new.controllers[0], old.controllers[0]
+    assert observe(new) == observe(old)
+    before = table_contents(new.network)
+    new_mods, old_mods = new_c.total_flow_mods, old_c.total_flow_mods
+    logged = len(new_c.request_log)
+    new_step(new)
+    old_step(old)
+    assert observe(new) == observe(old)
+    tables, ref_tables = table_contents(new.network), table_contents(old.network)
+    if new_c.install_mode == "reconcile":
+        assert tables == ref_tables
+        for mine, theirs in zip(
+            new_c.request_log[logged:], old_c.request_log[logged:], strict=True
+        ):
+            assert mine.flow_mods <= theirs.flow_mods
+    else:
+        for name, table in tables.items():
+            if table != ref_tables[name]:
+                desired = desired_flows(new_c.ledger.contributions(name))
+                assert table == {
+                    dz_to_prefix(dz): (len(dz), actions)
+                    for dz, actions in desired.items()
+                }
+    return (
+        new_c.total_flow_mods - new_mods,
+        old_c.total_flow_mods - old_mods,
+        table_difference(before, table_contents(new.network)),
+    )
+
+
+def versions(middleware: Pleroma) -> dict[str, tuple[int, int]]:
+    """Each switch's (ledger version, table version)."""
+    ledger = middleware.controllers[0].ledger
+    return {
+        name: (ledger.version(name), switch.table.version)
+        for name, switch in sorted(middleware.network.switches.items())
     }
 
 
@@ -262,12 +342,16 @@ class TestFailuresMatchOracle:
     def test_fail_link(self, topology_name, clients, edge_index):
         new = deploy(topology_name, clients)
         old = deploy(topology_name, clients)
-        assert observe(new) == observe(old)
         edges = switch_edges(new)
         a, b = edges[edge_index % len(edges)]
-        new.fail_link(a, b)
-        ref_fail_link(old, a, b)
-        assert observe(new) == observe(old)
+        new_mods, old_mods, diff = twin_step(
+            new,
+            old,
+            lambda m: m.fail_link(a, b),
+            lambda m: ref_fail_link(m, a, b),
+        )
+        # only restructures: every flow-mod is a real table change
+        assert new_mods == diff <= old_mods
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -285,9 +369,22 @@ class TestFailuresMatchOracle:
         roots = sorted({t.root for t in new.controllers[0].trees})
         candidates = roots if at_root and roots else new.topology.switches()
         name = candidates[switch_index % len(candidates)]
-        new.fail_switch(name)
-        ref_fail_switch(old, name)
-        assert observe(new) == observe(old)
+        clients_before = len(new.controllers[0].subscriptions) + len(
+            new.controllers[0].advertisements
+        )
+        new_mods, old_mods, diff = twin_step(
+            new,
+            old,
+            lambda m: m.fail_switch(name),
+            lambda m: ref_fail_switch(m, name),
+        )
+        assert diff <= new_mods <= old_mods
+        controller = new.controllers[0]
+        if clients_before == len(controller.subscriptions) + len(
+            controller.advertisements
+        ):
+            # no client dropped with the switch: only restructures ran
+            assert new_mods == diff
 
 
 class TestRerouteMatchesOracle:
@@ -307,9 +404,131 @@ class TestRerouteMatchesOracle:
         tree_id = trees[tree_index % len(trees)].tree_id
         edges = switch_edges(new)
         a, b = edges[edge_index % len(edges)]
-        outcome = new.controllers[0].reroute_tree_around_edge(tree_id, a, b)
-        expected = ref_reroute_tree_around_edge(
-            old.controllers[0], tree_id, a, b
+        outcomes = []
+        new_mods, old_mods, diff = twin_step(
+            new,
+            old,
+            lambda m: outcomes.append(
+                m.controllers[0].reroute_tree_around_edge(tree_id, a, b)
+            ),
+            lambda m: outcomes.append(
+                ref_reroute_tree_around_edge(m.controllers[0], tree_id, a, b)
+            ),
         )
-        assert outcome is expected
-        assert observe(new) == observe(old)
+        assert outcomes[0] is outcomes[1]
+        assert new_mods == diff <= old_mods
+
+
+class TestRestructureMatchesOracle:
+    """``restructure_tree`` against the withdraw-all/re-add body, on a
+    drawn tree and root, or on the tree's own structure, optionally after
+    a switch crashed and came back with a cold table, or after a client
+    was dropped from the controller's books without its paths (so the
+    tree holds paths nobody wants any more)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(TOPOLOGIES)),
+        clients_strategy,
+        st.sampled_from(["reconcile", "incremental"]),
+        st.integers(min_value=0, max_value=7),
+        st.integers(min_value=0, max_value=15),
+        st.booleans(),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=15)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=7)),
+    )
+    # the tree's own structure onto warm tables: nothing to do
+    @example(
+        "fat-tree",
+        [(0, True, 0, 1023), (7, False, 0, 1023)],
+        "reconcile",
+        0,
+        0,
+        True,
+        None,
+        None,
+    )
+    # the publisher's access switch comes back cold: every route of the
+    # tree starts there, and none of them moves
+    @example(
+        "fat-tree",
+        [(0, True, 0, 1023), (7, False, 0, 1023)],
+        "reconcile",
+        0,
+        0,
+        True,
+        -1,
+        None,
+    )
+    # a subscriber is forgotten: its paths vanish, and no route moves
+    @example(
+        "ring",
+        [(0, True, 0, 1023), (3, False, 0, 1023), (5, False, 0, 1023)],
+        "reconcile",
+        0,
+        0,
+        True,
+        None,
+        1,
+    )
+    def test_restructure(
+        self, topology_name, clients, install_mode, tree_index, root_index,
+        same_parents, revived, forgotten,
+    ):
+        new = deploy(topology_name, clients, install_mode)
+        old = deploy(topology_name, clients, install_mode)
+        if not new.controllers[0].trees:
+            return  # no advertisement drawn: nothing to restructure
+        switches = sorted(new.controllers[0].partition)
+        if revived is not None:
+            if revived < 0:  # the first publisher's access switch
+                revived = switches.index(
+                    new.topology.access_switch(new.topology.hosts()[0])
+                )
+            name = switches[revived % len(switches)]
+            for middleware in (new, old):
+                middleware.network.switches[name].fail()
+                middleware.network.switches[name].restore()
+        if forgotten is not None:
+            for middleware in (new, old):
+                controller = middleware.controllers[0]
+                books = [
+                    (controller.advertisements, adv_id)
+                    for adv_id in sorted(controller.advertisements)
+                ] + [
+                    (controller.subscriptions, sub_id)
+                    for sub_id in sorted(controller.subscriptions)
+                ]
+                client_book, client_id = books[forgotten % len(books)]
+                del client_book[client_id]
+
+        def restructure(body):
+            def step(middleware: Pleroma) -> None:
+                controller = middleware.controllers[0]
+                trees = trees_by_id(controller)
+                tree = trees[tree_index % len(trees)]
+                if same_parents:
+                    root, parents = tree.root, dict(tree.parents)
+                else:
+                    root = switches[root_index % len(switches)]
+                    parents = controller.trees.tree_builder(
+                        controller.topology, controller.partition, root
+                    )
+                with controller._request("restructure"):
+                    body(controller, tree, root, parents)
+
+            return step
+
+        moved = versions(new)
+        new_mods, old_mods, diff = twin_step(
+            new,
+            old,
+            restructure(PleromaController.restructure_tree),
+            restructure(ref_restructure_tree),
+        )
+        assert new_mods == diff
+        if install_mode == "reconcile":
+            assert new_mods <= old_mods
+        if same_parents and revived is None and forgotten is None:
+            assert new_mods == 0
+            assert versions(new) == moved

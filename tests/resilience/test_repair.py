@@ -6,6 +6,7 @@ from repro.core.subscription import Filter
 from repro.middleware.pleroma import Pleroma
 from repro.network.topology import line, paper_fat_tree
 from repro.resilience.repair import RepairPlanner
+from tests.helpers import table_contents, table_difference
 
 
 def deploy(topology, publisher="h1", subscribers=()):
@@ -17,6 +18,15 @@ def deploy(topology, publisher="h1", subscribers=()):
         client.subscribe(Filter.of())
         clients[host] = client
     return middleware, clients
+
+
+def assert_off_edge(controller, a, b):
+    """No tree and no installed path routes over the edge ``a``-``b``."""
+    for tree in controller.trees:
+        assert not tree.uses_edge(a, b)
+        for hops in controller.ledger.routes(tree.tree_id).values():
+            route = [switch for switch, _action in hops]
+            assert {a, b} not in [set(pair) for pair in zip(route, route[1:])]
 
 
 class TestPlanner:
@@ -193,7 +203,9 @@ class TestReportedFailuresShareTheOrchestrator:
         controller = middleware.controllers[0]
         tree = next(iter(controller.trees))
         child, parent = next(iter(tree.parents.items()))
+        before = table_contents(middleware.network)
         middleware.fail_link(child, parent)
+        mods = table_difference(before, table_contents(middleware.network))
         self.confirm_by_detection(middleware, detector)
         assert any(e.kind == "port-down" for e in detector.events)
         kinds = [s.kind for s in controller.request_log]
@@ -201,20 +213,27 @@ class TestReportedFailuresShareTheOrchestrator:
         assert "repair" not in kinds
         (record,) = orchestrator.records
         assert record.trigger_kind == "link_failure"
-        assert record.flow_mods > 0 and record.trees_rebuilt == 1
+        assert record.flow_mods == mods and record.trees_rebuilt == 1
         assert record.verifier_ok
+        assert_off_edge(controller, child, parent)
 
     def test_fail_switch_is_repaired_once(self):
         middleware, clients = deploy(paper_fat_tree(), subscribers=["h8"])
         detector, orchestrator = middleware.enable_resilience()
         controller = middleware.controllers[0]
+        before = table_contents(middleware.network)
         middleware.fail_switch("R1")
+        mods = table_difference(before, table_contents(middleware.network))
         self.confirm_by_detection(middleware, detector)
         assert any(e.kind == "switch-down" for e in detector.events)
         kinds = [s.kind for s in controller.request_log]
         assert kinds.count("switch_failure") == 1
         assert "repair" not in kinds
-        assert all(r.flow_mods > 0 for r in orchestrator.records)
+        (record,) = orchestrator.records
+        assert record.flow_mods == mods and record.verifier_ok
+        assert "R1" not in controller.ledger.switches()
+        for neighbor in middleware.topology.neighbors("R1"):
+            assert_off_edge(controller, "R1", neighbor)
         middleware.publish("h1", Event.of(attr0=1.0, attr1=1.0))
         middleware.run()
         assert len(clients["h8"].matched) == 1
